@@ -14,12 +14,21 @@ import (
 	"cgct/internal/coherence"
 )
 
-// Line is one cache line's bookkeeping.
+// Line is one cache line's bookkeeping: the value the eviction and
+// allocation hooks observe. The cache itself stores lines packed into tag
+// words (see Cache).
 type Line struct {
 	Addr  addr.LineAddr
 	State coherence.LineState
-	lru   uint64
 }
+
+// stateMask selects a tag word's LineState bits. Line addresses are
+// line-aligned and lines are at least minLineBytes long, so these bits of
+// the address are always zero.
+const (
+	stateMask    = 7
+	minLineBytes = stateMask + 1
+)
 
 // Stats counts cache events.
 type Stats struct {
@@ -39,14 +48,18 @@ func (s Stats) MissRatio() float64 {
 	return float64(s.Misses) / float64(t)
 }
 
-// Cache is a set-associative cache keyed by line address.
+// Cache is a set-associative cache keyed by line address. Each way is one
+// tag word — the line address with the LineState in its always-zero low
+// bits — so a lookup reads only its set's tag words. Replacement stamps
+// live in a parallel array touched only on hits and fills.
 type Cache struct {
 	name      string
 	assoc     int
 	numSets   uint64
 	lineShift uint
 	setMask   uint64
-	ways      []Line // numSets * assoc, set-major
+	tags      []uint64 // numSets * assoc, set-major; 0 state bits = invalid
+	lrus      []uint64 // replacement stamp per way (higher = more recent)
 	lruTick   uint64
 
 	// OnEvict, when set, observes every valid line leaving the cache
@@ -62,20 +75,23 @@ type Cache struct {
 // New builds a cache of sizeBytes with the given associativity and line
 // size. Panics on invalid geometry (configuration is validated upstream).
 func New(name string, sizeBytes uint64, assoc int, lineBytes uint64) *Cache {
-	if assoc <= 0 || !addr.IsPow2(lineBytes) {
+	if assoc <= 0 || !addr.IsPow2(lineBytes) || lineBytes < minLineBytes {
 		panic(fmt.Sprintf("cache %s: bad geometry", name))
 	}
 	numSets := sizeBytes / (lineBytes * uint64(assoc))
 	if numSets == 0 || !addr.IsPow2(numSets) {
 		panic(fmt.Sprintf("cache %s: set count %d not a power of two", name, numSets))
 	}
+	ways := numSets * uint64(assoc)
+	words := make([]uint64, 2*ways) // one allocation for tags and stamps
 	return &Cache{
 		name:      name,
 		assoc:     assoc,
 		numSets:   numSets,
 		lineShift: addr.Log2(lineBytes),
 		setMask:   numSets - 1,
-		ways:      make([]Line, numSets*uint64(assoc)),
+		tags:      words[:ways:ways],
+		lrus:      words[ways:],
 	}
 }
 
@@ -91,57 +107,64 @@ func (c *Cache) Assoc() int { return c.assoc }
 // LineBytes returns the line size.
 func (c *Cache) LineBytes() uint64 { return 1 << c.lineShift }
 
-func (c *Cache) setIndex(l addr.LineAddr) uint64 {
-	return (uint64(l) >> c.lineShift) & c.setMask
+// setBase returns the index of the first way of l's set.
+func (c *Cache) setBase(l addr.LineAddr) int {
+	return int((uint64(l)>>c.lineShift)&c.setMask) * c.assoc
 }
 
-func (c *Cache) set(l addr.LineAddr) []Line {
-	i := c.setIndex(l) * uint64(c.assoc)
-	return c.ways[i : i+uint64(c.assoc)]
+// wayLine unpacks way i's tag word.
+func (c *Cache) wayLine(i int) Line {
+	w := c.tags[i]
+	return Line{Addr: addr.LineAddr(w &^ stateMask), State: coherence.LineState(w & stateMask)}
+}
+
+// Probe returns the index of the way holding l in a valid state, or -1.
+// The index stays valid until the next Allocate.
+func (c *Cache) Probe(l addr.LineAddr) int {
+	b := c.setBase(l)
+	for i, w := range c.tags[b : b+c.assoc] {
+		// One compare: the XOR is 1..stateMask exactly when the address
+		// matches and the state bits are non-zero (valid). Invalidated
+		// ways keep their stale address with zero state bits.
+		if (w^uint64(l))-1 < stateMask {
+			return b + i
+		}
+	}
+	return -1
 }
 
 // Lookup returns the line's state without touching LRU or stats. Invalid
 // means not present.
 func (c *Cache) Lookup(l addr.LineAddr) coherence.LineState {
-	if e := c.Probe(l); e != nil {
-		return e.State
+	if i := c.Probe(l); i >= 0 {
+		return coherence.LineState(c.tags[i] & stateMask)
 	}
 	return coherence.Invalid
 }
 
-// Probe returns a pointer to the line's entry if present (state valid),
-// else nil. The pointer is invalidated by the next Allocate.
-func (c *Cache) Probe(l addr.LineAddr) *Line {
-	s := c.set(l)
-	for i := range s {
-		// Address first: it rejects most ways with one compare (invalidated
-		// entries keep their stale Addr, so the state check still matters).
-		if s[i].Addr == l && s[i].State.Valid() {
-			return &s[i]
-		}
-	}
-	return nil
+// touchWay makes way i the most recently used.
+func (c *Cache) touchWay(i int) {
+	c.lruTick++
+	c.lrus[i] = c.lruTick
 }
 
 // Access looks the line up and updates LRU and hit/miss statistics. It
-// returns the entry if present.
-func (c *Cache) Access(l addr.LineAddr) *Line {
-	e := c.Probe(l)
-	if e == nil {
+// returns the line's state (Invalid on a miss).
+func (c *Cache) Access(l addr.LineAddr) coherence.LineState {
+	i := c.Probe(l)
+	if i < 0 {
 		c.Stats.Misses++
-		return nil
+		return coherence.Invalid
 	}
 	c.Stats.Hits++
-	c.lruTick++
-	e.lru = c.lruTick
-	return e
+	c.touchWay(i)
+	return coherence.LineState(c.tags[i] & stateMask)
 }
 
 // Touch refreshes the line's LRU position without counting a hit.
 func (c *Cache) Touch(l addr.LineAddr) {
-	if e := c.Probe(l); e != nil {
-		c.lruTick++
-		e.lru = c.lruTick
+	if i := c.Probe(l); i >= 0 {
+		c.touchWay(i)
 	}
 }
 
@@ -153,28 +176,37 @@ func (c *Cache) Promote(l addr.LineAddr, st coherence.LineState) {
 	if !st.Valid() {
 		panic(fmt.Sprintf("cache %s: Promote to invalid state", c.name))
 	}
-	if e := c.Probe(l); e != nil {
-		e.State = st
-		c.lruTick++
-		e.lru = c.lruTick
+	if i := c.Probe(l); i >= 0 {
+		c.tags[i] = uint64(l) | uint64(st)
+		c.touchWay(i)
 	}
+}
+
+// victimWay returns the way Allocate fills in l's set: the first invalid
+// way, else the way with the strictly lowest replacement stamp.
+func (c *Cache) victimWay(l addr.LineAddr) int {
+	b := c.setBase(l)
+	v := -1
+	for i := b; i < b+c.assoc; i++ {
+		if c.tags[i]&stateMask == 0 {
+			return i
+		}
+		if v < 0 || c.lrus[i] < c.lrus[v] {
+			v = i
+		}
+	}
+	return v
 }
 
 // VictimFor returns the line that would be displaced to make room for l
 // (zero Line with Invalid state if a free way exists). It does not modify
 // the cache.
 func (c *Cache) VictimFor(l addr.LineAddr) Line {
-	s := c.set(l)
-	var victim *Line
-	for i := range s {
-		if !s[i].State.Valid() {
-			return Line{}
-		}
-		if victim == nil || s[i].lru < victim.lru {
-			victim = &s[i]
-		}
+	i := c.victimWay(l)
+	if c.tags[i]&stateMask == 0 {
+		return Line{}
 	}
-	return *victim
+	return c.wayLine(i)
 }
 
 // Allocate inserts line l with the given state, evicting the LRU way if the
@@ -185,25 +217,14 @@ func (c *Cache) Allocate(l addr.LineAddr, st coherence.LineState) (evicted Line)
 	if !st.Valid() {
 		panic(fmt.Sprintf("cache %s: allocating %v in state I", c.name, l))
 	}
-	if e := c.Probe(l); e != nil {
-		e.State = st
-		c.lruTick++
-		e.lru = c.lruTick
+	if i := c.Probe(l); i >= 0 {
+		c.tags[i] = uint64(l) | uint64(st)
+		c.touchWay(i)
 		return Line{}
 	}
-	s := c.set(l)
-	var slot *Line
-	for i := range s {
-		if !s[i].State.Valid() {
-			slot = &s[i]
-			break
-		}
-		if slot == nil || s[i].lru < slot.lru {
-			slot = &s[i]
-		}
-	}
-	if slot.State.Valid() {
-		evicted = *slot
+	slot := c.victimWay(l)
+	if c.tags[slot]&stateMask != 0 {
+		evicted = c.wayLine(slot)
 		c.Stats.Evictions++
 		if evicted.State.Dirty() {
 			c.Stats.DirtyEvicts++
@@ -212,10 +233,10 @@ func (c *Cache) Allocate(l addr.LineAddr, st coherence.LineState) (evicted Line)
 			c.OnEvict(evicted, true)
 		}
 	}
-	c.lruTick++
-	*slot = Line{Addr: l, State: st, lru: c.lruTick}
+	c.tags[slot] = uint64(l) | uint64(st)
+	c.touchWay(slot)
 	if c.OnAllocate != nil {
-		c.OnAllocate(*slot)
+		c.OnAllocate(Line{Addr: l, State: st})
 	}
 	return evicted
 }
@@ -223,43 +244,44 @@ func (c *Cache) Allocate(l addr.LineAddr, st coherence.LineState) (evicted Line)
 // SetState changes the state of a present line; it is a no-op when the line
 // is absent. Setting Invalid removes the line (counted as an invalidation).
 func (c *Cache) SetState(l addr.LineAddr, st coherence.LineState) {
-	e := c.Probe(l)
-	if e == nil {
+	i := c.Probe(l)
+	if i < 0 {
 		return
 	}
 	if st == coherence.Invalid {
-		c.invalidateEntry(e)
+		c.invalidateWay(i)
 		return
 	}
-	e.State = st
+	c.tags[i] = uint64(l) | uint64(st)
 }
 
 // Invalidate removes the line, returning its prior state (Invalid if it was
 // not present).
 func (c *Cache) Invalidate(l addr.LineAddr) coherence.LineState {
-	e := c.Probe(l)
-	if e == nil {
+	i := c.Probe(l)
+	if i < 0 {
 		return coherence.Invalid
 	}
-	prior := e.State
-	c.invalidateEntry(e)
-	return prior
+	return c.invalidateWay(i)
 }
 
-func (c *Cache) invalidateEntry(e *Line) {
-	old := *e
-	e.State = coherence.Invalid
+// invalidateWay clears way i's state bits (keeping the stale address, as
+// hardware keeps a stale tag) and returns the prior state.
+func (c *Cache) invalidateWay(i int) coherence.LineState {
+	old := c.wayLine(i)
+	c.tags[i] &^= stateMask
 	c.Stats.Invals++
 	if c.OnEvict != nil {
 		c.OnEvict(old, false)
 	}
+	return old.State
 }
 
 // CountValid returns the number of valid lines (test/diagnostic helper).
 func (c *Cache) CountValid() int {
 	n := 0
-	for i := range c.ways {
-		if c.ways[i].State.Valid() {
+	for _, w := range c.tags {
+		if w&stateMask != 0 {
 			n++
 		}
 	}
@@ -269,9 +291,9 @@ func (c *Cache) CountValid() int {
 // ForEachValid calls fn for every valid line (order: set-major). Intended
 // for tests and final-state checks, not hot paths.
 func (c *Cache) ForEachValid(fn func(Line)) {
-	for i := range c.ways {
-		if c.ways[i].State.Valid() {
-			fn(c.ways[i])
+	for i, w := range c.tags {
+		if w&stateMask != 0 {
+			fn(c.wayLine(i))
 		}
 	}
 }
@@ -281,8 +303,8 @@ func (c *Cache) ForEachValid(fn func(Line)) {
 func (c *Cache) LinesInRegion(g addr.Geometry, r addr.RegionAddr) []Line {
 	var out []Line
 	for i := 0; i < g.LinesPerRegion(); i++ {
-		if e := c.Probe(g.LineInRegion(r, i)); e != nil {
-			out = append(out, *e)
+		if w := c.Probe(g.LineInRegion(r, i)); w >= 0 {
+			out = append(out, c.wayLine(w))
 		}
 	}
 	return out
@@ -296,9 +318,9 @@ func (c *Cache) LinesInRegion(g addr.Geometry, r addr.RegionAddr) []Line {
 // cannot be treated as externally clean.
 func (c *Cache) RegionSnoop(g addr.Geometry, r addr.RegionAddr) (present, modifiable bool) {
 	for i := 0; i < g.LinesPerRegion(); i++ {
-		if e := c.Probe(g.LineInRegion(r, i)); e != nil {
+		if st := c.Lookup(g.LineInRegion(r, i)); st.Valid() {
 			present = true
-			if e.State.Dirty() || e.State == coherence.Exclusive {
+			if st.Dirty() || st == coherence.Exclusive {
 				return true, true
 			}
 		}

@@ -136,11 +136,11 @@ func TestInvalidateReturnsPrior(t *testing.T) {
 func TestAccessStats(t *testing.T) {
 	c := small()
 	l := line(7, 2)
-	if c.Access(l) != nil {
+	if c.Access(l).Valid() {
 		t.Error("hit on absent line")
 	}
 	c.Allocate(l, coherence.Shared)
-	if c.Access(l) == nil {
+	if !c.Access(l).Valid() {
 		t.Error("miss on present line")
 	}
 	if c.Stats.Hits != 1 || c.Stats.Misses != 1 {
@@ -241,7 +241,7 @@ func TestConservationProperty(t *testing.T) {
 			l := line(uint64(op)%8, uint64(op>>3)%16)
 			if op%4 == 0 {
 				c.Invalidate(l)
-			} else if c.Probe(l) == nil {
+			} else if c.Probe(l) < 0 {
 				c.Allocate(l, coherence.Shared)
 			}
 		}

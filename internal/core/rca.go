@@ -11,12 +11,13 @@ import (
 // aligned region, plus the line count used for self-invalidation and
 // replacement, and the home memory-controller ID used to route direct
 // requests and write-backs.
+// The fields are narrowed and ordered so an entry packs into 24 bytes.
 type Entry struct {
 	Region    addr.RegionAddr
-	State     RegionState
-	LineCount int // lines of this region currently cached by this processor
-	MemCtrl   int // home memory controller ID
 	lru       uint64
+	LineCount int32 // lines of this region currently cached by this processor
+	MemCtrl   int16 // home memory controller ID
+	State     RegionState
 }
 
 // RCAStats counts RCA events.
@@ -173,7 +174,7 @@ func (r *RCA) Allocate(region addr.RegionAddr, st RegionState, memCtrl int) {
 	}
 	if e := r.Probe(region); e != nil {
 		e.State = st
-		e.MemCtrl = memCtrl
+		e.MemCtrl = int16(memCtrl)
 		r.lruTick++
 		e.lru = r.lruTick
 		return
@@ -185,7 +186,7 @@ func (r *RCA) Allocate(region addr.RegionAddr, st RegionState, memCtrl int) {
 	}
 	r.Stats.Allocations++
 	r.lruTick++
-	*v = Entry{Region: region, State: st, MemCtrl: memCtrl, lru: r.lruTick}
+	*v = Entry{Region: region, State: st, MemCtrl: int16(memCtrl), lru: r.lruTick}
 }
 
 func (r *RCA) evictEntry(v *Entry) {

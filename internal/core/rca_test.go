@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"cgct/internal/addr"
 )
@@ -13,6 +14,15 @@ func testRCA() *RCA {
 // regionInSet returns the i'th distinct region mapping to the given set.
 func regionInSet(set, i uint64) addr.RegionAddr {
 	return addr.RegionAddr((i*4 + set) * 512)
+}
+
+// TestEntrySize pins the RCA entry's host footprint: a 16-processor
+// system probes hundreds of thousands of entries, so a field added or
+// widened carelessly shows up directly in simulator speed.
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 24 {
+		t.Errorf("core.Entry is %d bytes, want 24", got)
+	}
 }
 
 func TestLookupMiss(t *testing.T) {

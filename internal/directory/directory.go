@@ -283,8 +283,10 @@ func (d *Directory) pushFront(e *Entry) {
 	d.lru.next = e
 }
 
+// touch makes e the most recently used entry. Only a sparse directory
+// ever picks a victim, so an unbounded one skips the list surgery.
 func (d *Directory) touch(e *Entry) {
-	if d.lru.next == e {
+	if d.maxEnt == 0 || d.lru.next == e {
 		return
 	}
 	e.prev.next = e.next

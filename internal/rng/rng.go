@@ -113,18 +113,35 @@ func (r *Source) Bool(p float64) bool {
 
 // Geometric returns a sample from a geometric distribution with mean `mean`
 // (number of failures before success, >= 0). Used for instruction gaps and
-// run lengths.
+// run lengths. Callers that sample one mean repeatedly should precompute
+// GeometricDenom(mean) and call GeometricWith.
 func (r *Source) Geometric(mean float64) uint64 {
+	return r.GeometricWith(GeometricDenom(mean))
+}
+
+// GeometricDenom returns the per-mean term of Geometric's inverse CDF,
+// log1p(-p) with p = 1/(mean+1), or 0 for a non-positive mean. mean must
+// be finite.
+func GeometricDenom(mean float64) float64 {
 	if mean <= 0 {
 		return 0
 	}
-	p := 1.0 / (mean + 1.0)
+	return math.Log1p(-1.0 / (mean + 1.0))
+}
+
+// GeometricWith is Geometric with its per-mean term precomputed by
+// GeometricDenom; it returns bit-identical samples. A zero denominator
+// (non-positive mean) yields 0 without consuming randomness.
+func (r *Source) GeometricWith(denom float64) uint64 {
+	if denom == 0 {
+		return 0
+	}
 	u := r.Float64()
 	// Inverse CDF; clamp to avoid log(0).
 	if u >= 1 {
 		u = math.Nextafter(1, 0)
 	}
-	g := math.Floor(math.Log1p(-u) / math.Log1p(-p))
+	g := math.Floor(math.Log1p(-u) / denom)
 	if g < 0 {
 		return 0
 	}

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -127,6 +128,51 @@ func TestGeometricMean(t *testing.T) {
 	}
 	if r.Geometric(-1) != 0 {
 		t.Error("Geometric(-1) should be 0")
+	}
+}
+
+// geometricReference is the direct per-sample formula, which computes
+// log1p(-p) on every call; the precomputed-denominator path must match it
+// bit for bit.
+func geometricReference(r *Source, mean float64) uint64 {
+	if mean <= 0 {
+		return 0
+	}
+	p := 1.0 / (mean + 1.0)
+	u := r.Float64()
+	if u >= 1 {
+		u = math.Nextafter(1, 0)
+	}
+	g := math.Floor(math.Log1p(-u) / math.Log1p(-p))
+	if g < 0 {
+		return 0
+	}
+	if g > 1e9 {
+		g = 1e9
+	}
+	return uint64(g)
+}
+
+func TestGeometricMatchesReferenceFormula(t *testing.T) {
+	means := []float64{-1, 0, 1e-9, 0.25, 0.5, 1, 2, 3.7, 8, 12, 25, 100, 1e6, 1e12}
+	for _, seed := range []uint64{1, 2, 7, 42, 1 << 40} {
+		for _, mean := range means {
+			want, got, gotWith := New(seed), New(seed), New(seed)
+			denom := GeometricDenom(mean)
+			for i := 0; i < 2000; i++ {
+				w := geometricReference(want, mean)
+				if g := got.Geometric(mean); g != w {
+					t.Fatalf("seed %d mean %v draw %d: Geometric = %d, reference %d", seed, mean, i, g, w)
+				}
+				if g := gotWith.GeometricWith(denom); g != w {
+					t.Fatalf("seed %d mean %v draw %d: GeometricWith = %d, reference %d", seed, mean, i, g, w)
+				}
+			}
+			// The streams must stay aligned: the same randomness consumed.
+			if w := want.Uint64(); w != got.Uint64() || w != gotWith.Uint64() {
+				t.Fatalf("seed %d mean %v: random stream diverged from the reference", seed, mean)
+			}
+		}
 	}
 }
 

@@ -116,55 +116,3 @@ func TestPeek(t *testing.T) {
 	}
 	close(release)
 }
-
-// TestWaitJoinsWithoutLeading: Wait returns resident values, parks on
-// in-flight computations without ever starting one, and reports absent
-// keys as not-found.
-func TestWaitJoinsWithoutLeading(t *testing.T) {
-	c := New[int](4, 0)
-	ctx := context.Background()
-
-	if _, ok, err := c.Wait(ctx, "absent"); ok || err != nil {
-		t.Fatalf("Wait(absent) = ok=%t err=%v", ok, err)
-	}
-
-	if _, err := c.Do(ctx, "done", func(context.Context) (int, error) { return 7, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok, err := c.Wait(ctx, "done"); !ok || err != nil || v != 7 {
-		t.Fatalf("Wait(done) = %d, %t, %v", v, ok, err)
-	}
-
-	// Join an in-flight leader and receive its value on completion.
-	started, release := make(chan struct{}), make(chan struct{})
-	var leaderDone sync.WaitGroup
-	leaderDone.Add(1)
-	go func() {
-		defer leaderDone.Done()
-		c.Do(ctx, "slow", func(context.Context) (int, error) {
-			close(started)
-			<-release
-			return 11, nil
-		})
-	}()
-	<-started
-	waitRes := make(chan int, 1)
-	go func() {
-		v, ok, err := c.Wait(ctx, "slow")
-		if !ok || err != nil {
-			t.Errorf("Wait(slow) = %t, %v", ok, err)
-		}
-		waitRes <- v
-	}()
-	// A second Wait with a cancelled context must abort promptly.
-	cctx, cancel := context.WithCancel(ctx)
-	cancel()
-	if _, ok, err := c.Wait(cctx, "slow"); !ok || err == nil {
-		t.Fatalf("Wait(cancelled ctx) = ok=%t err=%v, want join+ctx error", ok, err)
-	}
-	close(release)
-	if v := <-waitRes; v != 11 {
-		t.Fatalf("joined Wait got %d, want 11", v)
-	}
-	leaderDone.Wait()
-}

@@ -244,37 +244,6 @@ func (c *Cache[V]) Peek(key string) (V, bool) {
 	return zero, false
 }
 
-// Wait returns the value for key if it is resident, or — when a
-// computation for it is in flight — blocks until that computation
-// finishes (or ctx expires) and returns its outcome. Unlike Do, Wait
-// never becomes a leader: ok is false when the cache holds nothing for
-// the key. This is what makes the cluster's singleflight fleet-wide: a
-// peer fetch parks on the owner's in-flight run instead of duplicating
-// it, without ever triggering a computation on the owner's behalf.
-func (c *Cache[V]) Wait(ctx context.Context, key string) (V, bool, error) {
-	var zero V
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		c.mu.Unlock()
-		return zero, false, nil
-	}
-	if e.elem != nil { // resident
-		c.hits++
-		c.lru.MoveToFront(e.elem)
-		c.mu.Unlock()
-		return e.val, true, nil
-	}
-	c.hits++ // joining an in-flight computation counts as a hit, as in Do
-	c.mu.Unlock()
-	select {
-	case <-e.done:
-		return e.val, true, e.err
-	case <-ctx.Done():
-		return zero, true, ctx.Err()
-	}
-}
-
 // RegisterMetrics registers the cache's behaviour into reg under the
 // given metric-name prefix (e.g. "cgct_result_cache"): hit/miss/eviction
 // counters and residency gauges, all read live from Stats at scrape time

@@ -790,3 +790,61 @@ func TestClusterChaosScrubRestoresFromPeer(t *testing.T) {
 		t.Fatalf("store stats after heal: %+v", s)
 	}
 }
+
+// TestClusterChaosMutualLeadersDoNotStall: two nodes that lead the same
+// uncomputed key at once each peer-fetch it from the other with ?wait=1.
+// A join must never park on a leader that is itself still in its store
+// and peer tiers, or both would sit out the fetch deadline before
+// simulating. Both leaders are held at compute start, so each is in
+// flight before either fetches.
+func TestClusterChaosMutualLeadersDoNotStall(t *testing.T) {
+	const fetchTimeout = 3 * time.Second
+	nodes := startFleet(t, 2, func(c *cluster.Config) {
+		c.Replication = 2
+		c.FetchTimeout = fetchTimeout
+	})
+	plan := faultinject.NewPlan(1)
+	plan.Arm(faultinject.PointCacheCompute, faultinject.Spec{
+		Mode: faultinject.ModeDelay, Probability: 1, Delay: 200 * time.Millisecond, Limit: 2,
+	})
+	faultinject.Enable(plan)
+	defer faultinject.Disable()
+
+	ctx := context.Background()
+	req := tinySim(9_731)
+	var took [2]time.Duration
+	var keys [2]string
+	done := make(chan int, 2)
+	for i, node := range nodes {
+		go func() {
+			defer func() { done <- i }()
+			start := time.Now()
+			sub, err := node.c.Submit(ctx, req)
+			if err != nil {
+				t.Errorf("node %d submit: %v", i, err)
+				return
+			}
+			st, err := node.c.Wait(ctx, sub.ID, 2*time.Millisecond)
+			if err != nil || st.State != server.StateDone {
+				t.Errorf("node %d job: %+v, %v", i, st, err)
+				return
+			}
+			took[i], keys[i] = time.Since(start), st.Key
+		}()
+	}
+	<-done
+	<-done
+	if keys[0] == "" || keys[0] != keys[1] {
+		t.Fatalf("keys %q / %q: want one shared content address", keys[0], keys[1])
+	}
+	for i, d := range took {
+		if d > fetchTimeout/2 {
+			t.Errorf("node %d took %v: the leaders stalled on each other's peer fetch (deadline %v)", i, d, fetchTimeout)
+		}
+	}
+	for i, node := range nodes {
+		if s := node.cl.Stats(); s.FetchErrors != 0 {
+			t.Errorf("node %d: %d peer-fetch errors, want none", i, s.FetchErrors)
+		}
+	}
+}

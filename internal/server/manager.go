@@ -415,6 +415,10 @@ type Manager struct {
 	busy      int
 	latencies []float64
 	latIdx    int
+	// sims holds, per key, the compute leader that is simulating it: past
+	// the store and peer tiers, inside runRequest. Only these runs are
+	// joinable by a ?wait=1 peer fetch (see ResultPayload).
+	sims map[string]*simRun
 
 	// execute computes one job's result; swappable in tests to control
 	// timing without running real simulations.
@@ -437,6 +441,7 @@ func NewManager(o Options) *Manager {
 		queue: make(chan *job, o.QueueCapacity),
 		stop:  make(chan struct{}),
 		jobs:  make(map[string]*job),
+		sims:  make(map[string]*simRun),
 		log:   o.Logger,
 
 		replSem: make(chan struct{}, 4),
@@ -919,7 +924,7 @@ func (m *Manager) executeCached(j *job) (any, error) {
 				ctx = cgct.WithProgress(ctx, p)
 			}
 			ctx = cgct.WithSpanRecorder(ctx, func(s cgct.Span) { m.recordSpan(j, s) })
-			res, err := runRequest(ctx, j.request)
+			res, err := m.simulate(ctx, j.key, j.request)
 			if err == nil {
 				m.setResultSource(j, "sim")
 				if payload, merr := canonicalResult(res); merr == nil {
@@ -938,6 +943,41 @@ func (m *Manager) executeCached(j *job) (any, error) {
 		}
 		return res, err
 	}
+}
+
+// simRun is one compute leader's local simulation of a key. ?wait=1
+// peer fetches join it through done and read its outcome.
+type simRun struct {
+	done chan struct{}
+	res  any
+	err  error
+}
+
+// errSimAborted is a simRun's outcome when runRequest panicked; the
+// joined peer fetches answer 404 and their callers simulate.
+var errSimAborted = errors.New("server: simulation aborted")
+
+// simulate runs a compute leader's request after its store and peer tiers
+// missed, registered in m.sims so that ?wait=1 peer fetches can join it.
+// A leader still in its own tiers is never joinable: its peer fetch may be
+// waiting on the very node asking, and two such leaders would each sit
+// out the other's fetch deadline before simulating.
+func (m *Manager) simulate(ctx context.Context, key string, req JobRequest) (any, error) {
+	r := &simRun{done: make(chan struct{}), err: errSimAborted}
+	m.mu.Lock()
+	m.sims[key] = r
+	m.mu.Unlock()
+	defer func() {
+		m.mu.Lock()
+		if m.sims[key] == r {
+			delete(m.sims, key)
+		}
+		m.mu.Unlock()
+		close(r.done)
+	}()
+	res, err := runRequest(ctx, req)
+	r.res, r.err = res, err
+	return res, err
 }
 
 // setResultSource records where a compute leader's result came from.
@@ -1082,31 +1122,31 @@ func (m *Manager) ClusterJoin(peer string) ([]string, error) {
 
 // ResultPayload serves the canonical result bytes for a content address:
 // the resident cache first, then the persistent store. With wait set it
-// joins (never leads) an in-flight computation for the key — the seam
-// that makes peer fetches cluster-wide singleflight. It never computes;
-// a key nobody has yields ErrNotFound, and the remote caller decides to
-// simulate. Invalid keys yield store.ErrBadKey (the handler's 400).
+// also joins (never leads) a local simulation of the key — the seam that
+// makes peer fetches cluster-wide singleflight. It joins only a leader
+// that is simulating, never one still trying its store and peer tiers
+// (see simulate). It never computes; a key nobody has yields ErrNotFound,
+// and the remote caller decides to simulate. Invalid keys yield
+// store.ErrBadKey (the handler's 400).
 func (m *Manager) ResultPayload(ctx context.Context, key string, wait bool) ([]byte, error) {
 	if err := store.ValidateKey(key); err != nil {
 		return nil, err
 	}
-	var (
-		res any
-		ok  bool
-	)
-	if wait {
-		var err error
-		res, ok, err = m.cache.Wait(ctx, key)
-		if err != nil && ctx.Err() != nil {
-			return nil, err
+	res, ok := m.cache.Peek(key)
+	if !ok && wait {
+		m.mu.Lock()
+		r := m.sims[key]
+		m.mu.Unlock()
+		if r != nil {
+			select {
+			case <-r.done:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			// A leader that failed is not a result we can serve; fall
+			// through to the store, then 404 — the caller simulates.
+			res, ok = r.res, r.err == nil
 		}
-		// A leader that failed is not a result we can serve; fall through
-		// to the store, then 404 — the caller simulates.
-		if err != nil {
-			ok = false
-		}
-	} else {
-		res, ok = m.cache.Peek(key)
 	}
 	if ok {
 		payload, err := canonicalResult(res)

@@ -118,17 +118,13 @@ func (f *directoryFabric) issue(n *node, kind coherence.ReqKind, line addr.LineA
 		s.run.Directs[kind]++ // still a point-to-point message, never a broadcast
 		s.run.DirMessages++
 		n.outstanding++
-		if _, dup := n.pending[line]; !dup {
-			n.pending[line] = n.newMSHR()
-		}
+		n.pending.open(line)
 		reqLat := s.cfg.Net.DirectRequestLatency(s.topo.ProcToMem(n.id, home))
 		arriveHome := d.Admit(t+event.Cycle(reqLat), s.cfg.Net.DirectoryLatency) + event.Cycle(s.cfg.Net.DirectoryLatency)
 		s.queue.Schedule(arriveHome, n, nodeOpResolveDir, packReq(kind, forStore), uint64(line))
 		return
 	}
-	if _, dup := n.pending[line]; !dup {
-		n.pending[line] = n.newMSHR()
-	}
+	n.pending.open(line)
 }
 
 // recordFastGrant maintains the home's per-line record for a request that
@@ -262,7 +258,8 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 	// would an omniscient protocol have needed this home transaction's
 	// coherence actions at all? Observed before any state changes.
 	cat := stats.CategoryOf(kind)
-	remoteValid, remoteWritable := s.lineStateAnywhere(n.id, line)
+	pe := d.Peek(line)
+	remoteValid, remoteWritable := f.remoteCopies(pe, n.id, line, now)
 	if oracle.Unnecessary(kind, remoteValid, remoteWritable) {
 		s.run.OracleUnnecessary[cat]++
 	} else {
@@ -276,7 +273,7 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 		regionClean, regionDirty = s.observeRemoteRegion(n.id, s.geom.RegionOfLine(line))
 	}
 	prevOwner := -1
-	if pe := d.Peek(line); pe != nil && pe.Owner != n.id {
+	if pe != nil && pe.Owner != n.id {
 		prevOwner = pe.Owner
 	}
 
@@ -471,6 +468,42 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 		}
 	}
 	s.queue.Schedule(arrive, n, nodeOpCompleteFill, packReq(kind, forStore), uint64(line))
+}
+
+// remoteCopies reports whether any node other than exclude caches line,
+// and whether any such copy is writable-capable (E/M), asking only the
+// nodes line's home entry e implicates: the owner and the sharers,
+// everyone when the entry has overflowed, no one when there is no entry
+// (e nil). This is the directory's own filter — every cached copy has a
+// record at its home. DebugChecks cross-checks the answer against the
+// full scan.
+func (f *directoryFabric) remoteCopies(e *directory.Entry, exclude int, line addr.LineAddr, now event.Cycle) (valid, writable bool) {
+	s := f.s
+	if e != nil {
+		for _, o := range s.nodes {
+			if o.id == exclude || !e.MustInvalidate(o.id) {
+				continue
+			}
+			st := o.l2.Lookup(line)
+			if !st.Valid() {
+				continue
+			}
+			valid = true
+			if st.Dirty() || st == coherence.Exclusive {
+				writable = true
+			}
+		}
+	}
+	if s.DebugChecks {
+		if v, w := s.lineStateAnywhere(exclude, line); v != valid || w != writable {
+			coherence.Violate(coherence.InvariantError{
+				Check: "directory-oracle-filter", Cycle: uint64(now), Line: uint64(line),
+				Detail: fmt.Sprintf("p%d home-filtered copies (valid=%v writable=%v) differ from full scan (valid=%v writable=%v)",
+					exclude, valid, writable, v, w),
+			})
+		}
+	}
+	return valid, writable
 }
 
 // dmaWrite implements coherenceFabric: coherent I/O goes through the home

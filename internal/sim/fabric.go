@@ -206,7 +206,7 @@ func applyExternalRegion(o *node, region addr.RegionAddr, kind coherence.ReqKind
 	if e == nil {
 		return false
 	}
-	next, outcome := o.protocol.AfterExternal(e.State, kind, requesterExclusive, e.LineCount)
+	next, outcome := o.protocol.AfterExternal(e.State, kind, requesterExclusive, int(e.LineCount))
 	if outcome == core.ExtSelfInvalidated {
 		o.rca.Stats.SelfInvals++
 		o.rca.SetState(region, core.RegionInvalid)
@@ -247,9 +247,29 @@ func (n *node) applyBroadcastResponse(region addr.RegionAddr, kind coherence.Req
 // region, and whether any holds modifiable ones. Pure observation — used
 // by paths that have no fused snoop loop (region probes, the directory
 // fabric); it must run before any line action mutates the caches.
+//
+// Like performBroadcast, it skips the tag scan of every node whose RCA
+// lacks the region: RCA inclusion means such a node caches none of its
+// lines. DebugChecks cross-checks the answer against the unfiltered scan.
 func (s *System) observeRemoteRegion(exclude int, region addr.RegionAddr) (regionClean, regionDirty bool) {
+	regionClean, regionDirty = s.remoteRegionSnoop(exclude, region, true)
+	if s.DebugChecks {
+		if c, d := s.remoteRegionSnoop(exclude, region, false); c != regionClean || d != regionDirty {
+			coherence.Violate(coherence.InvariantError{
+				Check: "region-snoop-filter", Cycle: uint64(s.queue.Now()), Region: uint64(region),
+				Detail: fmt.Sprintf("p%d RCA-filtered region snoop (clean=%v dirty=%v) differs from full scan (clean=%v dirty=%v)",
+					exclude, regionClean, regionDirty, c, d),
+			})
+		}
+	}
+	return regionClean, regionDirty
+}
+
+// remoteRegionSnoop scans the region in the L2 of every node but exclude;
+// filtered skips nodes whose RCA proves the region absent.
+func (s *System) remoteRegionSnoop(exclude int, region addr.RegionAddr, filtered bool) (regionClean, regionDirty bool) {
 	for _, o := range s.nodes {
-		if o.id == exclude {
+		if o.id == exclude || (filtered && o.rca != nil && o.rca.Probe(region) == nil) {
 			continue
 		}
 		p, m := o.l2.RegionSnoop(s.geom, region)
@@ -287,14 +307,13 @@ func (n *node) completeFill(kind coherence.ReqKind, line addr.LineAddr, now even
 			n.fillL1D(line, true)
 		}
 	}
-	if m, ok := n.pending[line]; ok {
-		delete(n.pending, line)
-		// processStore may re-issue on the same line; that creates a fresh
+	if m := n.pending.take(line); m != nil {
+		// processStore may re-issue on the same line; that opens a fresh
 		// mshr, so iterating m.waiters while it happens is safe.
 		for _, se := range m.waiters {
 			n.processStore(se, now)
 		}
-		n.freeMSHR(m)
+		n.pending.release(m)
 	}
 	n.resumeIfWaiting(line, now)
 	if forStore {

@@ -15,13 +15,82 @@ import (
 )
 
 // mshr tracks one in-flight fill and the work waiting on it. mshrs are
-// pooled per node (see newMSHR/freeMSHR) so the miss path allocates nothing
-// in steady state.
+// pooled per node (see mshrTable) so the miss path allocates nothing in
+// steady state.
 type mshr struct {
 	// waiters are store-buffer entries retried when the fill completes
 	// (the stalled processor is resumed separately via demandLine).
 	waiters []storeEntry
-	free    *mshr // next entry in the node's free list
+	free    *mshr // next entry in the table's free list
+}
+
+// mshrTable maps each in-flight line to its mshr. A node has at most a
+// few dozen fills in flight, so a linear scan of a packed line array
+// beats hashing; removal swaps the last entry into the hole. Only keyed
+// lookups exist, so the slot order never reaches a result.
+type mshrTable struct {
+	lines []addr.LineAddr
+	mshrs []*mshr
+	free  *mshr // recycled mshrs
+}
+
+// index returns line's slot, or -1 when no fill is in flight.
+func (t *mshrTable) index(line addr.LineAddr) int {
+	for i, l := range t.lines {
+		if l == line {
+			return i
+		}
+	}
+	return -1
+}
+
+// find returns line's mshr, or nil when no fill is in flight.
+func (t *mshrTable) find(line addr.LineAddr) *mshr {
+	if i := t.index(line); i >= 0 {
+		return t.mshrs[i]
+	}
+	return nil
+}
+
+// busy reports whether a fill for line is in flight.
+func (t *mshrTable) busy(line addr.LineAddr) bool { return t.index(line) >= 0 }
+
+// open gives line an mshr unless it already has one.
+func (t *mshrTable) open(line addr.LineAddr) {
+	if t.busy(line) {
+		return
+	}
+	m := t.free
+	if m != nil {
+		t.free = m.free
+		m.free = nil
+	} else {
+		m = &mshr{}
+	}
+	t.lines = append(t.lines, line)
+	t.mshrs = append(t.mshrs, m)
+}
+
+// take removes line's entry and returns its mshr (nil when absent). The
+// caller hands it back with release once its waiters are processed.
+func (t *mshrTable) take(line addr.LineAddr) *mshr {
+	i := t.index(line)
+	if i < 0 {
+		return nil
+	}
+	m := t.mshrs[i]
+	last := len(t.lines) - 1
+	t.lines[i], t.mshrs[i] = t.lines[last], t.mshrs[last]
+	t.mshrs[last] = nil
+	t.lines, t.mshrs = t.lines[:last], t.mshrs[:last]
+	return m
+}
+
+// release recycles an mshr, keeping its waiter storage.
+func (t *mshrTable) release(m *mshr) {
+	m.waiters = m.waiters[:0]
+	m.free = t.free
+	t.free = m
 }
 
 // storeEntry is one store-buffer slot.
@@ -73,8 +142,7 @@ type node struct {
 	// coordinator's ordered replay. Nil in sequential and hub contexts.
 	exec *partCtx
 
-	pending           map[addr.LineAddr]*mshr
-	mshrFree          *mshr // recycled mshrs
+	pending           mshrTable
 	storeBufUsed      int
 	outstanding       int // in-flight fabric requests
 	outstandingDemand int // in-flight demand (load/ifetch) misses
@@ -134,13 +202,11 @@ func (n *node) schedEvent(at event.Cycle, op uint8, u32 uint32, u64 uint64) {
 
 func newNode(s *System, id int, src workload.Source) *node {
 	n := &node{
-		sys:     s,
-		id:      id,
-		l1i:     cache.New(fmt.Sprintf("p%d.l1i", id), s.cfg.L1I.SizeBytes, s.cfg.L1I.Assoc, s.cfg.L1I.LineBytes),
-		l1d:     cache.New(fmt.Sprintf("p%d.l1d", id), s.cfg.L1D.SizeBytes, s.cfg.L1D.Assoc, s.cfg.L1D.LineBytes),
-		l2:      cache.New(fmt.Sprintf("p%d.l2", id), s.cfg.L2.SizeBytes, s.cfg.L2.Assoc, s.cfg.L2.LineBytes),
-		src:     src,
-		pending: make(map[addr.LineAddr]*mshr),
+		sys: s,
+		id:  id,
+		l1i: cache.New(fmt.Sprintf("p%d.l1i", id), s.cfg.L1I.SizeBytes, s.cfg.L1I.Assoc, s.cfg.L1I.LineBytes),
+		l1d: cache.New(fmt.Sprintf("p%d.l1d", id), s.cfg.L1D.SizeBytes, s.cfg.L1D.Assoc, s.cfg.L1D.LineBytes),
+		src: src,
 	}
 	if s.cfg.L2SectorBytes > 0 {
 		n.l2 = cache.NewSectored(fmt.Sprintf("p%d.l2", id), s.cfg.L2.SizeBytes, s.cfg.L2.Assoc,
@@ -171,23 +237,6 @@ func newNode(s *System, id int, src workload.Source) *node {
 	// maintain the RCA line counts, and generate write-backs.
 	n.l2.SetHooks(n.onL2Evict, n.onL2Allocate)
 	return n
-}
-
-// newMSHR takes an mshr from the node's pool.
-func (n *node) newMSHR() *mshr {
-	if m := n.mshrFree; m != nil {
-		n.mshrFree = m.free
-		m.free = nil
-		return m
-	}
-	return &mshr{}
-}
-
-// freeMSHR recycles an mshr, keeping its waiter storage.
-func (n *node) freeMSHR(m *mshr) {
-	m.waiters = m.waiters[:0]
-	m.free = n.mshrFree
-	n.mshrFree = m
 }
 
 // schedule queues a run continuation at time t (no-op if one is pending).
@@ -261,7 +310,7 @@ func (n *node) execOp(op workload.Op, t event.Cycle) bool {
 func (n *node) execLoad(op workload.Op, t event.Cycle) bool {
 	line := n.sys.geom.Line(op.Addr)
 	t += event.Cycle(n.sys.cfg.L1D.LatencyCy)
-	if n.l1d.Access(line) != nil {
+	if n.l1d.Access(line).Valid() {
 		if n.sys.DebugChecks {
 			n.sys.checkRead(n.id, line)
 		}
@@ -271,7 +320,7 @@ func (n *node) execLoad(op workload.Op, t event.Cycle) bool {
 	// The line may be architecturally present (installed at the request's
 	// coherence point) while its data is still in flight; dependent
 	// accesses wait for the data to arrive.
-	if _, busy := n.pending[line]; busy {
+	if n.pending.busy(line) {
 		n.stallOn(line, t)
 		return false
 	}
@@ -293,11 +342,11 @@ func (n *node) execLoad(op workload.Op, t event.Cycle) bool {
 func (n *node) execIFetch(op workload.Op, t event.Cycle) bool {
 	line := n.sys.geom.Line(op.Addr)
 	t += event.Cycle(n.sys.cfg.L1I.LatencyCy)
-	if n.l1i.Access(line) != nil {
+	if n.l1i.Access(line).Valid() {
 		n.localTime = t
 		return true
 	}
-	if _, busy := n.pending[line]; busy {
+	if n.pending.busy(line) {
 		n.stallOn(line, t)
 		return false
 	}
@@ -343,7 +392,7 @@ func (n *node) execStoreLike(op workload.Op, t event.Cycle) bool {
 	t += event.Cycle(n.sys.cfg.L1D.LatencyCy)
 	if op.Kind == workload.OpStore {
 		// Fast path: the line is writable in the L1D.
-		if e := n.l1d.Access(line); e != nil && e.State == coherence.Modified {
+		if n.l1d.Access(line) == coherence.Modified {
 			n.localTime = t
 			return true
 		}
@@ -363,7 +412,7 @@ func (n *node) execStoreLike(op workload.Op, t event.Cycle) bool {
 // processStore advances one store-buffer entry at time t. Entries complete
 // in the background; completion frees the slot.
 func (n *node) processStore(se storeEntry, t event.Cycle) {
-	if m, busy := n.pending[se.line]; busy {
+	if m := n.pending.find(se.line); m != nil {
 		m.waiters = append(m.waiters, se)
 		return
 	}
@@ -479,7 +528,7 @@ func (n *node) firePrefetches(line addr.LineAddr, isStore, wasMiss bool, t event
 		if n.outstandingPf >= n.sys.cfg.Proc.MaxOutstanding {
 			return
 		}
-		if _, busy := n.pending[h.Line]; busy {
+		if n.pending.busy(h.Line) {
 			continue
 		}
 		if n.l2.Lookup(h.Line).Valid() {
@@ -563,7 +612,7 @@ func (n *node) onRegionEvict(e core.Entry) {
 			continue
 		}
 		if st.Dirty() {
-			n.sys.fabric.flushWriteback(n, line, e.MemCtrl, n.now())
+			n.sys.fabric.flushWriteback(n, line, int(e.MemCtrl), n.now())
 		} else {
 			// Clean lines leave silently; the directory fabric still needs
 			// the replacement hint (no-op on the snooping fabric).

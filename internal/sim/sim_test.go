@@ -140,7 +140,7 @@ func TestPostRunInclusionInvariants(t *testing.T) {
 			}
 		})
 		// Cached line => region entry present, and counts match.
-		counts := map[addr.RegionAddr]int{}
+		counts := map[addr.RegionAddr]int32{}
 		n.l2.ForEachValid(func(l cache.Line) {
 			counts[s.geom.RegionOfLine(l.Addr)]++
 		})

@@ -19,10 +19,18 @@ import (
 type snoopFabric struct {
 	s    *System
 	abus *bus.AddressBus
+	// snooped holds, per node, the line state performBroadcast's snoop
+	// phase observed (Invalid where the RCA filter skipped the tags), so
+	// its action phase need not look the tags up again.
+	snooped []coherence.LineState
 }
 
 func newSnoopFabric(s *System) *snoopFabric {
-	return &snoopFabric{s: s, abus: bus.NewAddressBus(s.cfg.Net)}
+	return &snoopFabric{
+		s:       s,
+		abus:    bus.NewAddressBus(s.cfg.Net),
+		snooped: make([]coherence.LineState, s.cfg.Topology.Processors),
+	}
 }
 
 // issue implements coherenceFabric. It runs in two contexts: node
@@ -44,7 +52,7 @@ func (f *snoopFabric) issue(n *node, kind coherence.ReqKind, line addr.LineAddr,
 		rp.RegionStateAtLookup[st]++
 		route = n.protocol.Route(st, kind)
 		if e := n.rca.Probe(region); e != nil {
-			regionMC = e.MemCtrl
+			regionMC = int(e.MemCtrl)
 		}
 	}
 	if n.nsrt != nil && kind != coherence.ReqWriteback && n.nsrt.Lookup(region) {
@@ -87,15 +95,11 @@ func (f *snoopFabric) issue(n *node, kind coherence.ReqKind, line addr.LineAddr,
 	default: // broadcast
 		rp.Broadcasts[kind]++
 		n.outstanding++
-		if _, dup := n.pending[line]; !dup {
-			n.pending[line] = n.newMSHR()
-		}
+		n.pending.open(line)
 		f.busSchedule(n, t, nodeOpBroadcast, packReq(kind, forStore), uint64(line))
 		return
 	}
-	if _, dup := n.pending[line]; !dup {
-		n.pending[line] = n.newMSHR()
-	}
+	n.pending.open(line)
 }
 
 // busSchedule arbitrates for the address bus and schedules the granted
@@ -203,6 +207,7 @@ func (f *snoopFabric) performBroadcast(n *node, kind coherence.ReqKind, line add
 	regionClean, regionDirty := false, false
 	crhPresent := false
 	for _, o := range s.nodes {
+		f.snooped[o.id] = coherence.Invalid
 		if o.id == n.id {
 			continue
 		}
@@ -223,7 +228,9 @@ func (f *snoopFabric) performBroadcast(n *node, kind coherence.ReqKind, line add
 			continue
 		}
 		s.run.SnoopTagLookups++
-		if st := o.l2.Lookup(line); st.Valid() {
+		st := o.l2.Lookup(line)
+		f.snooped[o.id] = st
+		if st.Valid() {
 			remoteValid = true
 			if st.Dirty() || st == coherence.Exclusive {
 				remoteWritable = true
@@ -255,11 +262,20 @@ func (f *snoopFabric) performBroadcast(n *node, kind coherence.ReqKind, line add
 	requesterExclusive := granted == coherence.Exclusive || granted == coherence.Modified
 
 	// --- Conventional protocol actions on the other processors. ---
+	// Each node's actions touch only its own caches, so the state its
+	// snoop observed is still current here.
 	for _, o := range s.nodes {
 		if o.id == n.id {
 			continue
 		}
-		st := o.l2.Lookup(line)
+		st := f.snooped[o.id]
+		if s.DebugChecks && st != o.l2.Lookup(line) {
+			coherence.Violate(coherence.InvariantError{
+				Check: "snoop-state-reuse", Cycle: uint64(grant), Line: uint64(line),
+				States: st.String(),
+				Detail: fmt.Sprintf("p%d snooped %v but holds %v at action time", o.id, st, o.l2.Lookup(line)),
+			})
+		}
 		if st.Valid() {
 			switch kind {
 			case coherence.ReqRead, coherence.ReqPrefetch, coherence.ReqIFetch:

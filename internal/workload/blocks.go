@@ -77,7 +77,7 @@ type engine struct {
 	queue     []Op
 	qHead     int
 	code      codeWalker
-	meanGap   float64 // mean non-memory instructions between data ops
+	gapDenom  float64 // rng.GeometricDenom of the mean non-memory instructions between data ops
 	pendGap   uint64  // instruction budget not yet attributed to an op
 }
 
@@ -88,7 +88,7 @@ func newEngine(r *rng.Source, opsPerProc int, meanGap float64, code codeWalker, 
 		remaining: opsPerProc,
 		phases:    phases,
 		code:      code,
-		meanGap:   meanGap,
+		gapDenom:  rng.GeometricDenom(meanGap),
 	}
 	for i := range e.phases {
 		var tot float64
@@ -112,7 +112,7 @@ func newEngine(r *rng.Source, opsPerProc int, meanGap float64, code codeWalker, 
 
 // push queues a data op, attaching a geometric instruction gap.
 func (e *engine) push(kind OpKind, a addr.Addr) {
-	gap := e.r.Geometric(e.meanGap)
+	gap := e.r.GeometricWith(e.gapDenom)
 	e.queue = append(e.queue, Op{Kind: kind, Addr: a, Gap: uint32(gap)})
 }
 
