@@ -67,7 +67,7 @@ func TestCompareLinesNaNResult(t *testing.T) {
 func TestBaselineSchemaTolerance(t *testing.T) {
 	results := []benchResult{
 		{Name: "cgct-ocean", TraceOpsSec: 150, AllocsPerOp: 10},
-		{Name: "sweep4-ocean-batched", TraceOpsSec: 600, Parallelism: 4, VariantsPerDecode: 4},
+		{Name: "sweep4-ocean-pool", TraceOpsSec: 600, Parallelism: 4},
 	}
 	cases := map[string]struct {
 		json      string
@@ -81,7 +81,7 @@ func TestBaselineSchemaTolerance(t *testing.T) {
 		"future schema, unknown columns": {
 			json: `{"generated":"2027-01-01T00:00:00Z","quantum_cores":9,"results":[
 				{"name":"cgct-ocean","trace_ops_per_sec":100,"allocs_per_op":13,"warp_factor":7},
-				{"name":"sweep4-ocean-batched","trace_ops_per_sec":300,"parallelism":8}]}`,
+				{"name":"sweep4-ocean-pool","trace_ops_per_sec":300,"parallelism":8}]}`,
 			wantDelta: true,
 		},
 		"empty results": {

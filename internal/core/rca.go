@@ -7,18 +7,27 @@ import (
 	"cgct/internal/coherence"
 )
 
-// Entry is one Region Coherence Array entry: the coarse-grain state of one
-// aligned region, plus the line count used for self-invalidation and
-// replacement, and the home memory-controller ID used to route direct
-// requests and write-backs.
-// The fields are narrowed and ordered so an entry packs into 24 bytes.
+// Entry is one Region Coherence Array entry as the replacement hook and
+// diagnostics see it: the coarse-grain state of one aligned region, plus
+// the line count used for self-invalidation and replacement. The RCA
+// itself stores entries packed into tag words (see RCA).
+//
+// The hardware entry also holds the region's home memory-controller ID
+// (Table 2 counts its bits). The host copy derives it instead: it is
+// always the topology's home controller of the region.
 type Entry struct {
 	Region    addr.RegionAddr
-	lru       uint64
 	LineCount int32 // lines of this region currently cached by this processor
-	MemCtrl   int16 // home memory controller ID
 	State     RegionState
 }
+
+// stateMask selects a tag word's RegionState bits. Region addresses are
+// region-aligned and regions are at least minRegionBytes long, so these
+// bits of the address are always zero.
+const (
+	stateMask      = 7
+	minRegionBytes = stateMask + 1
+)
 
 // RCAStats counts RCA events.
 type RCAStats struct {
@@ -43,13 +52,19 @@ func (s RCAStats) EmptyEvictFraction() float64 {
 	return float64(s.EvictedByCount[0]) / float64(s.Evictions)
 }
 
-// RCA is a set-associative Region Coherence Array.
+// RCA is a set-associative Region Coherence Array. Each way is one tag
+// word — the region address with its RegionState in the always-zero low
+// bits — so a probe reads only its set's tag words. Replacement stamps and
+// line counts live in parallel arrays, touched only on hits, fills and
+// line-count updates.
 type RCA struct {
 	geom    addr.Geometry
 	sets    uint64
 	assoc   int
 	setMask uint64
-	ways    []Entry
+	tags    []uint64 // sets * assoc, set-major; 0 state bits = invalid
+	lrus    []uint64 // replacement stamp per way (higher = more recent)
+	counts  []int32  // cached lines per way
 	lruTick uint64
 
 	// OnEvict is called with the victim entry before it is replaced or
@@ -64,15 +79,19 @@ type RCA struct {
 // NewRCA builds an RCA with the given geometry. sets must be a power of
 // two.
 func NewRCA(geom addr.Geometry, sets uint64, assoc int) *RCA {
-	if sets == 0 || !addr.IsPow2(sets) || assoc <= 0 {
-		panic(fmt.Sprintf("core: bad RCA geometry (%d sets, %d ways)", sets, assoc))
+	if sets == 0 || !addr.IsPow2(sets) || assoc <= 0 || geom.RegionBytes < minRegionBytes {
+		panic(fmt.Sprintf("core: bad RCA geometry (%d sets, %d ways, %d-byte regions)", sets, assoc, geom.RegionBytes))
 	}
+	ways := sets * uint64(assoc)
+	words := make([]uint64, 2*ways) // one allocation for tags and stamps
 	return &RCA{
 		geom:    geom,
 		sets:    sets,
 		assoc:   assoc,
 		setMask: sets - 1,
-		ways:    make([]Entry, sets*uint64(assoc)),
+		tags:    words[:ways:ways],
+		lrus:    words[ways:],
+		counts:  make([]int32, ways),
 	}
 }
 
@@ -88,63 +107,81 @@ func (r *RCA) Assoc() int { return r.assoc }
 // Entries returns the total capacity in entries.
 func (r *RCA) Entries() uint64 { return r.sets * uint64(r.assoc) }
 
-func (r *RCA) set(region addr.RegionAddr) []Entry {
-	idx := (uint64(region) >> r.geom.RegionShift()) & r.setMask
-	i := idx * uint64(r.assoc)
-	return r.ways[i : i+uint64(r.assoc)]
+// setBase returns the index of the first way of region's set.
+func (r *RCA) setBase(region addr.RegionAddr) int {
+	return int((uint64(region)>>r.geom.RegionShift())&r.setMask) * r.assoc
 }
 
-// Probe returns the entry for region if present, else nil. The pointer is
-// invalidated by the next Allocate in the same set.
-func (r *RCA) Probe(region addr.RegionAddr) *Entry {
-	s := r.set(region)
-	for i := range s {
-		// Region compare first: it rejects most ways with one compare.
-		if s[i].Region == region && s[i].State.Valid() {
-			return &s[i]
+// wayEntry unpacks way w.
+func (r *RCA) wayEntry(w int) Entry {
+	t := r.tags[w]
+	return Entry{Region: addr.RegionAddr(t &^ stateMask), LineCount: r.counts[w], State: RegionState(t & stateMask)}
+}
+
+// Probe returns the index of the way holding region in a valid state, or
+// -1. The index stays valid until the next Allocate.
+func (r *RCA) Probe(region addr.RegionAddr) int {
+	b := r.setBase(region)
+	for i, t := range r.tags[b : b+r.assoc] {
+		// One compare: the XOR is 1..stateMask exactly when the region
+		// matches and the state bits are non-zero (valid). Invalidated
+		// ways keep their stale region with zero state bits.
+		if (t^uint64(region))-1 < stateMask {
+			return b + i
 		}
 	}
-	return nil
+	return -1
 }
+
+// State returns the state of way w (a Probe result).
+func (r *RCA) State(w int) RegionState { return RegionState(r.tags[w] & stateMask) }
+
+// LineCount returns how many lines of way w's region are cached.
+func (r *RCA) LineCount(w int) int32 { return r.counts[w] }
 
 // Lookup returns the region's state, counting a hit or miss, and refreshes
 // LRU on hit. Missing regions return RegionInvalid.
 func (r *RCA) Lookup(region addr.RegionAddr) RegionState {
-	e := r.Probe(region)
-	if e == nil {
+	w := r.Probe(region)
+	if w < 0 {
 		r.Stats.Misses++
 		return RegionInvalid
 	}
 	r.Stats.Hits++
-	r.lruTick++
-	e.lru = r.lruTick
-	return e.State
+	r.touchWay(w)
+	return r.State(w)
 }
 
-// victimIn picks the way to displace in set s: a free way if any, else the
-// LRU way among entries with no cached lines (the replacement policy favors
-// empty regions, §3.2), else the overall LRU way.
-func victimIn(s []Entry) *Entry {
-	var free, emptyLRU, anyLRU *Entry
-	for i := range s {
-		e := &s[i]
-		if !e.State.Valid() {
-			if free == nil {
-				free = e
+// touchWay makes way w the most recently used.
+func (r *RCA) touchWay(w int) {
+	r.lruTick++
+	r.lrus[w] = r.lruTick
+}
+
+// victimWay picks the way to displace in region's set: a free way if any,
+// else the LRU way among entries with no cached lines (the replacement
+// policy favors empty regions, §3.2), else the overall LRU way.
+func (r *RCA) victimWay(region addr.RegionAddr) int {
+	b := r.setBase(region)
+	free, emptyLRU, anyLRU := -1, -1, -1
+	for w := b; w < b+r.assoc; w++ {
+		if r.tags[w]&stateMask == 0 {
+			if free < 0 {
+				free = w
 			}
 			continue
 		}
-		if e.LineCount == 0 && (emptyLRU == nil || e.lru < emptyLRU.lru) {
-			emptyLRU = e
+		if r.counts[w] == 0 && (emptyLRU < 0 || r.lrus[w] < r.lrus[emptyLRU]) {
+			emptyLRU = w
 		}
-		if anyLRU == nil || e.lru < anyLRU.lru {
-			anyLRU = e
+		if anyLRU < 0 || r.lrus[w] < r.lrus[anyLRU] {
+			anyLRU = w
 		}
 	}
-	if free != nil {
+	if free >= 0 {
 		return free
 	}
-	if emptyLRU != nil {
+	if emptyLRU >= 0 {
 		return emptyLRU
 	}
 	return anyLRU
@@ -154,107 +191,111 @@ func victimIn(s []Entry) *Entry {
 // region (State Invalid if a free way exists), without modifying the array.
 // The simulator uses it to flush the victim's lines before allocation.
 func (r *RCA) VictimFor(region addr.RegionAddr) Entry {
-	if e := r.Probe(region); e != nil {
+	if r.Probe(region) >= 0 {
 		return Entry{} // already present: no displacement
 	}
-	v := victimIn(r.set(region))
-	if v == nil || !v.State.Valid() {
+	v := r.victimWay(region)
+	if r.tags[v]&stateMask == 0 {
 		return Entry{}
 	}
-	return *v
+	return r.wayEntry(v)
 }
 
-// Allocate installs region with the given state and home memory controller,
-// displacing a victim if needed. OnEvict fires for a valid victim before it
-// is removed. If the region is already present its state is updated in
-// place (LineCount preserved).
-func (r *RCA) Allocate(region addr.RegionAddr, st RegionState, memCtrl int) {
+// Allocate installs region with the given state, displacing a victim if
+// needed. OnEvict fires for a valid victim before it is removed. If the
+// region is already present its state is updated in place (LineCount
+// preserved).
+func (r *RCA) Allocate(region addr.RegionAddr, st RegionState) {
 	if !st.Valid() {
 		panic("core: allocating region in state I")
 	}
-	if e := r.Probe(region); e != nil {
-		e.State = st
-		e.MemCtrl = int16(memCtrl)
-		r.lruTick++
-		e.lru = r.lruTick
+	if w := r.Probe(region); w >= 0 {
+		r.tags[w] = uint64(region) | uint64(st)
+		r.touchWay(w)
 		return
 	}
-	s := r.set(region)
-	v := victimIn(s)
-	if v.State.Valid() {
-		r.evictEntry(v)
+	v := r.victimWay(region)
+	if r.tags[v]&stateMask != 0 {
+		r.evictWay(v)
 	}
 	r.Stats.Allocations++
-	r.lruTick++
-	*v = Entry{Region: region, State: st, MemCtrl: int16(memCtrl), lru: r.lruTick}
+	r.tags[v] = uint64(region) | uint64(st)
+	r.counts[v] = 0
+	r.touchWay(v)
 }
 
-func (r *RCA) evictEntry(v *Entry) {
+func (r *RCA) evictWay(w int) {
 	r.Stats.Evictions++
-	c := v.LineCount
-	if c > 3 {
-		c = 3
-	}
-	r.Stats.EvictedByCount[c]++
-	r.Stats.LineSumAtEvict += uint64(v.LineCount)
+	n := r.counts[w]
+	r.Stats.EvictedByCount[min(n, 3)]++
+	r.Stats.LineSumAtEvict += uint64(n)
 	if r.OnEvict != nil {
-		r.OnEvict(*v)
+		r.OnEvict(r.wayEntry(w))
 	}
-	v.State = RegionInvalid
-	v.LineCount = 0
+	r.invalidateWay(w)
+}
+
+// invalidateWay clears way w's state bits (keeping the stale region, as
+// hardware keeps a stale tag) and its line count.
+func (r *RCA) invalidateWay(w int) {
+	r.tags[w] &^= stateMask
+	r.counts[w] = 0
 }
 
 // SetState updates the state of a present region (no-op when absent).
 // Setting RegionInvalid removes the entry without firing OnEvict — used by
 // self-invalidation, where the line count is already zero.
 func (r *RCA) SetState(region addr.RegionAddr, st RegionState) {
-	e := r.Probe(region)
-	if e == nil {
-		return
+	if w := r.Probe(region); w >= 0 {
+		r.SetWayState(w, st)
 	}
+}
+
+// SetWayState is SetState for way w (a Probe result), without the probe.
+func (r *RCA) SetWayState(w int, st RegionState) {
 	if !st.Valid() {
-		e.State = RegionInvalid
-		e.LineCount = 0
+		r.invalidateWay(w)
 		return
 	}
-	e.State = st
+	r.tags[w] = r.tags[w]&^stateMask | uint64(st)
 }
 
 // IncLineCount notes that a line of region entered the cache. The region
 // must be present (inclusion invariant); the simulator allocates the entry
 // before filling lines.
 func (r *RCA) IncLineCount(region addr.RegionAddr) {
-	e := r.Probe(region)
-	if e == nil {
+	w := r.Probe(region)
+	if w < 0 {
 		coherence.Violate(coherence.InvariantError{
 			Check: "rca-inclusion", Region: uint64(region),
 			Detail: "line fill for a region with no RCA entry",
 		})
 	}
-	e.LineCount++
+	r.counts[w]++
 }
 
 // DecLineCount notes that a line of region left the cache. Tolerates a
 // missing entry (the region may be mid-eviction).
 func (r *RCA) DecLineCount(region addr.RegionAddr) {
-	e := r.Probe(region)
-	if e == nil {
+	w := r.Probe(region)
+	if w < 0 {
 		return
 	}
-	e.LineCount--
-	if e.LineCount < 0 {
+	r.counts[w]--
+	if r.counts[w] < 0 {
 		coherence.Violate(coherence.InvariantError{
-			Check: "rca-line-count", Region: uint64(region), States: e.State.String(),
+			Check: "rca-line-count", Region: uint64(region), States: r.State(w).String(),
 			Detail: "negative cached-line count",
 		})
 	}
 }
 
-// ForEachValid visits all valid entries (diagnostics/tests).
+// ForEachValid visits all valid entries in set-major order
+// (diagnostics/tests).
 func (r *RCA) ForEachValid(fn func(Entry)) {
-	for i := range r.ways {
-		if r.ways[i].State.Valid() {
-			fn(r.ways[i])
+	for w, t := range r.tags {
+		if t&stateMask != 0 {
+			fn(r.wayEntry(w))
 		}
 	}
 }
@@ -262,8 +303,8 @@ func (r *RCA) ForEachValid(fn func(Entry)) {
 // CountValid returns the number of valid entries.
 func (r *RCA) CountValid() int {
 	n := 0
-	for i := range r.ways {
-		if r.ways[i].State.Valid() {
+	for _, t := range r.tags {
+		if t&stateMask != 0 {
 			n++
 		}
 	}

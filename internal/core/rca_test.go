@@ -16,12 +16,20 @@ func regionInSet(set, i uint64) addr.RegionAddr {
 	return addr.RegionAddr((i*4 + set) * 512)
 }
 
-// TestEntrySize pins the RCA entry's host footprint: a 16-processor
-// system probes hundreds of thousands of entries, so a field added or
-// widened carelessly shows up directly in simulator speed.
+// TestEntrySize pins the RCA's host footprint per entry: one tag word
+// (region and state), one replacement stamp and one line count, 20 bytes.
+// A 16-processor system probes hundreds of thousands of entries, so a
+// field added or widened carelessly shows up directly in simulator speed.
 func TestEntrySize(t *testing.T) {
-	if got := unsafe.Sizeof(Entry{}); got != 24 {
-		t.Errorf("core.Entry is %d bytes, want 24", got)
+	r := testRCA()
+	bytes := uintptr(cap(r.tags))*unsafe.Sizeof(r.tags[0]) +
+		uintptr(cap(r.lrus))*unsafe.Sizeof(r.lrus[0]) +
+		uintptr(cap(r.counts))*unsafe.Sizeof(r.counts[0])
+	if per := bytes / uintptr(r.Entries()); per != 20 {
+		t.Errorf("RCA holds %d host bytes per entry, want 20", per)
+	}
+	if got := unsafe.Sizeof(r.tags[0]); got != 8 {
+		t.Errorf("a probe reads %d-byte tag words, want 8", got)
 	}
 }
 
@@ -38,12 +46,12 @@ func TestLookupMiss(t *testing.T) {
 func TestAllocateAndLookup(t *testing.T) {
 	r := testRCA()
 	reg := regionInSet(1, 0)
-	r.Allocate(reg, RegionCI, 1)
+	r.Allocate(reg, RegionCI)
 	if st := r.Lookup(reg); st != RegionCI {
 		t.Errorf("lookup = %v", st)
 	}
-	if e := r.Probe(reg); e == nil || e.MemCtrl != 1 {
-		t.Errorf("probe = %+v", e)
+	if w := r.Probe(reg); w < 0 || r.State(w) != RegionCI {
+		t.Errorf("probe = %d", w)
 	}
 	if r.Stats.Hits != 1 || r.Stats.Allocations != 1 {
 		t.Errorf("stats = %+v", r.Stats)
@@ -53,14 +61,14 @@ func TestAllocateAndLookup(t *testing.T) {
 func TestAllocateUpdatesInPlace(t *testing.T) {
 	r := testRCA()
 	reg := regionInSet(2, 0)
-	r.Allocate(reg, RegionCI, 0)
+	r.Allocate(reg, RegionCI)
 	r.IncLineCount(reg)
-	r.Allocate(reg, RegionDD, 1)
-	e := r.Probe(reg)
-	if e.State != RegionDD || e.MemCtrl != 1 {
-		t.Errorf("entry = %+v", e)
+	r.Allocate(reg, RegionDD)
+	w := r.Probe(reg)
+	if r.State(w) != RegionDD {
+		t.Errorf("state = %v", r.State(w))
 	}
-	if e.LineCount != 1 {
+	if r.LineCount(w) != 1 {
 		t.Error("re-allocation lost the line count")
 	}
 	if r.Stats.Allocations != 1 {
@@ -71,18 +79,18 @@ func TestAllocateUpdatesInPlace(t *testing.T) {
 func TestReplacementFavorsEmptyRegions(t *testing.T) {
 	r := testRCA()
 	a, b, c := regionInSet(0, 0), regionInSet(0, 1), regionInSet(0, 2)
-	r.Allocate(a, RegionDI, 0)
+	r.Allocate(a, RegionDI)
 	r.IncLineCount(a) // a has cached lines
-	r.Allocate(b, RegionCI, 0)
+	r.Allocate(b, RegionCI)
 	// b is empty; despite a being LRU, b must be the victim (§3.2).
 	if v := r.VictimFor(c); v.Region != b {
 		t.Errorf("victim = %x, want empty region %x", uint64(v.Region), uint64(b))
 	}
-	r.Allocate(c, RegionDI, 0)
-	if r.Probe(b) != nil {
+	r.Allocate(c, RegionDI)
+	if r.Probe(b) >= 0 {
 		t.Error("empty region survived")
 	}
-	if r.Probe(a) == nil {
+	if r.Probe(a) < 0 {
 		t.Error("non-empty region was evicted instead")
 	}
 	if r.Stats.EvictedByCount[0] != 1 {
@@ -93,13 +101,13 @@ func TestReplacementFavorsEmptyRegions(t *testing.T) {
 func TestReplacementFallsBackToLRU(t *testing.T) {
 	r := testRCA()
 	a, b, c := regionInSet(1, 0), regionInSet(1, 1), regionInSet(1, 2)
-	r.Allocate(a, RegionDI, 0)
+	r.Allocate(a, RegionDI)
 	r.IncLineCount(a)
-	r.Allocate(b, RegionDI, 0)
+	r.Allocate(b, RegionDI)
 	r.IncLineCount(b)
 	r.Lookup(a) // refresh a; b becomes LRU
-	r.Allocate(c, RegionCI, 0)
-	if r.Probe(b) != nil {
+	r.Allocate(c, RegionCI)
+	if r.Probe(b) >= 0 {
 		t.Error("LRU non-empty region should have been evicted")
 	}
 	if r.Stats.EvictedByCount[1] != 1 {
@@ -110,8 +118,8 @@ func TestReplacementFallsBackToLRU(t *testing.T) {
 func TestOnEvictFiresWhileInstalled(t *testing.T) {
 	r := testRCA()
 	a, b, c := regionInSet(3, 0), regionInSet(3, 1), regionInSet(3, 2)
-	r.Allocate(a, RegionDI, 2)
-	r.Allocate(b, RegionCI, 0)
+	r.Allocate(a, RegionDI)
+	r.Allocate(b, RegionCI)
 	r.IncLineCount(b)
 	fired := false
 	r.OnEvict = func(e Entry) {
@@ -119,19 +127,19 @@ func TestOnEvictFiresWhileInstalled(t *testing.T) {
 		if e.Region != a {
 			t.Errorf("evicted %x, want %x", uint64(e.Region), uint64(a))
 		}
-		if e.MemCtrl != 2 {
-			t.Error("victim lost its controller ID")
+		if e.State != RegionDI {
+			t.Errorf("victim state %v, want DI", e.State)
 		}
 		// The entry must still be probe-able during the flush.
-		if r.Probe(a) == nil {
+		if r.Probe(a) < 0 {
 			t.Error("victim not installed during OnEvict")
 		}
 	}
-	r.Allocate(c, RegionCI, 0) // a is empty -> victim
+	r.Allocate(c, RegionCI) // a is empty -> victim
 	if !fired {
 		t.Error("OnEvict did not fire")
 	}
-	if r.Probe(a) != nil {
+	if r.Probe(a) >= 0 {
 		t.Error("victim still present after eviction")
 	}
 }
@@ -139,12 +147,12 @@ func TestOnEvictFiresWhileInstalled(t *testing.T) {
 func TestLineCountTracking(t *testing.T) {
 	r := testRCA()
 	reg := regionInSet(0, 3)
-	r.Allocate(reg, RegionDI, 0)
+	r.Allocate(reg, RegionDI)
 	r.IncLineCount(reg)
 	r.IncLineCount(reg)
 	r.DecLineCount(reg)
-	if e := r.Probe(reg); e.LineCount != 1 {
-		t.Errorf("line count = %d", e.LineCount)
+	if n := r.LineCount(r.Probe(reg)); n != 1 {
+		t.Errorf("line count = %d", n)
 	}
 	// Dec on a missing region is tolerated (mid-eviction).
 	r.DecLineCount(regionInSet(0, 5))
@@ -162,7 +170,7 @@ func TestIncLineCountWithoutEntryPanics(t *testing.T) {
 func TestNegativeLineCountPanics(t *testing.T) {
 	r := testRCA()
 	reg := regionInSet(0, 0)
-	r.Allocate(reg, RegionCI, 0)
+	r.Allocate(reg, RegionCI)
 	defer func() {
 		if recover() == nil {
 			t.Error("negative line count did not panic")
@@ -174,9 +182,9 @@ func TestNegativeLineCountPanics(t *testing.T) {
 func TestSetStateInvalidClears(t *testing.T) {
 	r := testRCA()
 	reg := regionInSet(2, 1)
-	r.Allocate(reg, RegionDD, 0)
+	r.Allocate(reg, RegionDD)
 	r.SetState(reg, RegionInvalid)
-	if r.Probe(reg) != nil {
+	if r.Probe(reg) >= 0 {
 		t.Error("SetState(I) did not remove the entry")
 	}
 	// No-op when absent.
@@ -189,7 +197,7 @@ func TestAllocateInvalidPanics(t *testing.T) {
 			t.Error("allocating RegionInvalid did not panic")
 		}
 	}()
-	testRCA().Allocate(regionInSet(0, 0), RegionInvalid, 0)
+	testRCA().Allocate(regionInSet(0, 0), RegionInvalid)
 }
 
 func TestEvictionStats(t *testing.T) {
@@ -197,7 +205,7 @@ func TestEvictionStats(t *testing.T) {
 	// Fill one set and overflow it repeatedly.
 	for i := uint64(0); i < 6; i++ {
 		reg := regionInSet(0, i)
-		r.Allocate(reg, RegionCI, 0)
+		r.Allocate(reg, RegionCI)
 	}
 	if r.Stats.Evictions != 4 {
 		t.Errorf("evictions = %d, want 4", r.Stats.Evictions)
@@ -212,8 +220,8 @@ func TestEvictionStats(t *testing.T) {
 
 func TestForEachValid(t *testing.T) {
 	r := testRCA()
-	r.Allocate(regionInSet(0, 0), RegionCI, 0)
-	r.Allocate(regionInSet(1, 0), RegionDD, 1)
+	r.Allocate(regionInSet(0, 0), RegionCI)
+	r.Allocate(regionInSet(1, 0), RegionDD)
 	n := 0
 	r.ForEachValid(func(Entry) { n++ })
 	if n != 2 {

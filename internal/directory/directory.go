@@ -16,6 +16,7 @@
 package directory
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"cgct/internal/addr"
@@ -113,6 +114,51 @@ func (e *Entry) ClearSharers() {
 // everyone.
 func (e *Entry) MustInvalidate(id int) bool {
 	return e.Overflowed || e.Has(id) || e.Owner == id
+}
+
+// Implicated returns an iterator over the node IDs below procs that
+// MustInvalidate reports, in increasing order: the owner and the precise
+// sharers, or every node when the entry has overflowed. The iterator is a
+// snapshot; the entry may change while it is walked.
+func (e *Entry) Implicated(procs int) NodeIter {
+	it := NodeIter{mask: e.mask, procs: procs, all: e.Overflowed}
+	if o := e.Owner; o >= 0 {
+		it.mask[uint(o)/64] |= 1 << (uint(o) % 64)
+	}
+	return it
+}
+
+// NodeIter walks a node set (see Entry.Implicated).
+type NodeIter struct {
+	mask  [maskWords]uint64
+	word  int // next mask word to read
+	next  int // next node ID (all-nodes walk)
+	procs int
+	all   bool
+}
+
+// Next returns the next implicated node ID, or -1 when none remain.
+func (it *NodeIter) Next() int {
+	if it.all {
+		if it.next >= it.procs {
+			return -1
+		}
+		it.next++
+		return it.next - 1
+	}
+	for it.word < maskWords {
+		m := it.mask[it.word]
+		if m == 0 {
+			it.word++
+			continue
+		}
+		it.mask[it.word] = m & (m - 1)
+		if id := it.word*64 + bits.TrailingZeros64(m); id < it.procs {
+			return id
+		}
+		return -1
+	}
+	return -1
 }
 
 // Stats counts one Directory's behaviour over a run.

@@ -1,6 +1,8 @@
 package directory
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"cgct/internal/addr"
@@ -152,5 +154,36 @@ func TestLiveEntriesGauge(t *testing.T) {
 	d.Close()
 	if got := LiveEntries(); got != before {
 		t.Fatalf("gauge after Close = %d, want %d", got, before)
+	}
+}
+
+// TestImplicatedMatchesMustInvalidate: the iterator must visit exactly
+// the nodes MustInvalidate reports, in increasing order, for owners,
+// sharers in both mask words, and overflowed entries.
+func TestImplicatedMatchesMustInvalidate(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2_000; trial++ {
+		procs := 1 + r.Intn(MaxProcessors)
+		e := &Entry{Owner: -1}
+		for i := r.Intn(6); i > 0; i-- {
+			e.AddSharer(r.Intn(procs), []int{0, 2}[r.Intn(2)])
+		}
+		if r.Intn(2) == 0 {
+			e.Owner = r.Intn(procs)
+		}
+		var want, got []int
+		for id := 0; id < procs; id++ {
+			if e.MustInvalidate(id) {
+				want = append(want, id)
+			}
+		}
+		it := e.Implicated(procs)
+		for id := it.Next(); id >= 0; id = it.Next() {
+			got = append(got, id)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%d procs, owner %d, overflowed %v): visited %v, want %v",
+				trial, procs, e.Owner, e.Overflowed, got, want)
+		}
 	}
 }

@@ -38,9 +38,9 @@ func Fabric(p Params, processorCounts []int) []FabricRow {
 	if len(processorCounts) == 0 {
 		processorCounts = []int{4, 16}
 	}
-	// The five fabric variants of one (benchmark, procs, seed) workload are
-	// an ideal lockstep batch: RunVariants replays them over a single
-	// decode pass of the shared compiled trace.
+	// The five fabric variants of one (benchmark, procs, seed) workload
+	// replay the same shared compiled trace; RunVariants runs them on the
+	// worker pool.
 	run := func(b string, procs int, seed uint64) [5]*cgct.Result {
 		base := cgct.Options{
 			OpsPerProc:    p.OpsPerProc,

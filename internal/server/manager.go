@@ -557,7 +557,7 @@ func (m *Manager) initMetrics() {
 	}
 	r.GaugeFunc("cgct_directory_entries", "live directory entries process-wide",
 		func() float64 { return float64(directory.LiveEntries()) })
-	r.GaugeFunc("cgct_parallel_runs_inflight", "simulator instances currently executing under the batched multi-variant engine",
+	r.GaugeFunc("cgct_parallel_runs_inflight", "simulations currently executing process-wide",
 		func() float64 { return float64(sim.RunsInflight()) })
 	r.CounterFunc("cgct_sim_window_stalls_total", "PDES windows degraded to a single sequential step by an imminent hub event",
 		func() float64 { return float64(sim.WindowStallsTotal()) })
@@ -1268,9 +1268,8 @@ type Metrics struct {
 	FabricMessages   map[string]uint64 `json:"fabric_messages"`
 	DirectoryEntries uint64            `json:"directory_entries"`
 
-	// ParallelRunsInflight is the number of simulator instances currently
-	// executing under the batched multi-variant engine (lockstep batches
-	// on scheduler workers), process-wide.
+	// ParallelRunsInflight is the number of simulations currently
+	// executing, process-wide (jobs, sweep workers and every other run).
 	ParallelRunsInflight uint64 `json:"parallel_runs_inflight"`
 
 	// Intra-run (PDES) engine: windows degraded to a single sequential

@@ -173,10 +173,9 @@ func (f *directoryFabric) evictVictim(d *directory.Directory, v *directory.Entry
 	line := v.Line()
 	home := d.Home()
 	now := s.queue.Now()
-	for _, o := range s.nodes {
-		if !v.MustInvalidate(o.id) {
-			continue
-		}
+	it := v.Implicated(len(s.nodes))
+	for id := it.Next(); id >= 0; id = it.Next() {
+		o := s.nodes[id]
 		s.run.DirInvalidations++
 		s.run.DirMessages += 2 // invalidation + ack
 		st := o.l2.Lookup(line)
@@ -268,8 +267,11 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 
 	// Region snoop response, gathered before invalidations mutate the
 	// caches (the directory learns it from the region notifications' acks).
+	// The same holder pass names the nodes the notifications visit below:
+	// the line actions in between change holders' line counts, never which
+	// nodes hold the region.
 	regionClean, regionDirty := false, false
-	if n.rca != nil {
+	if s.cfg.CGCTEnabled {
 		regionClean, regionDirty = s.observeRemoteRegion(n.id, s.geom.RegionOfLine(line))
 	}
 	prevOwner := -1
@@ -297,10 +299,12 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 		if e == nil {
 			return ackBy
 		}
-		for _, o := range s.nodes {
-			if o.id == n.id || o.id == e.Owner || !e.MustInvalidate(o.id) {
+		it := e.Implicated(len(s.nodes))
+		for id := it.Next(); id >= 0; id = it.Next() {
+			if id == n.id || id == e.Owner {
 				continue
 			}
+			o := s.nodes[id]
 			s.run.DirInvalidations++
 			s.run.DirMessages += 2 // invalidation + ack
 			if o.l2.Lookup(line).Valid() {
@@ -429,23 +433,16 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 	// region entry must exist before the line installs (RCA inclusion).
 	requesterExclusive := granted == coherence.Exclusive || granted == coherence.Modified
 	if s.cfg.CGCTEnabled {
-		reg := s.geom.RegionOfLine(line)
-		for _, o := range s.nodes {
-			if o.id == n.id {
-				continue
-			}
-			if applyExternalRegion(o, reg, kind, requesterExclusive) {
-				s.run.DirRegionNotifies++
-				s.run.DirMessages += 2 // notify + ack
-				rt := now + event.Cycle(2*s.cfg.Net.TransferLatency(s.topo.ProcToMem(o.id, home)))
-				if rt > arrive {
-					arrive = rt
-				}
+		for _, h := range s.holders {
+			applyExternalAt(h.o, h.way, kind, requesterExclusive)
+			s.run.DirRegionNotifies++
+			s.run.DirMessages += 2 // notify + ack
+			rt := now + event.Cycle(2*s.cfg.Net.TransferLatency(s.topo.ProcToMem(h.o.id, home)))
+			if rt > arrive {
+				arrive = rt
 			}
 		}
-		if n.rca != nil {
-			n.applyBroadcastResponse(reg, kind, requesterExclusive, regionClean, regionDirty, prevOwner)
-		}
+		n.applyBroadcastResponse(s.geom.RegionOfLine(line), kind, requesterExclusive, regionClean, regionDirty, prevOwner)
 	}
 
 	// Install the granted line (state change at the coherence point).
@@ -480,11 +477,12 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 func (f *directoryFabric) remoteCopies(e *directory.Entry, exclude int, line addr.LineAddr, now event.Cycle) (valid, writable bool) {
 	s := f.s
 	if e != nil {
-		for _, o := range s.nodes {
-			if o.id == exclude || !e.MustInvalidate(o.id) {
+		it := e.Implicated(len(s.nodes))
+		for id := it.Next(); id >= 0; id = it.Next() {
+			if id == exclude {
 				continue
 			}
-			st := o.l2.Lookup(line)
+			st := s.nodes[id].l2.Lookup(line)
 			if !st.Valid() {
 				continue
 			}
@@ -524,10 +522,9 @@ func (f *directoryFabric) dmaWrite(d *dmaAgent, base addr.Addr, now event.Cycle)
 		lh := s.topo.HomeController(addr.Addr(line))
 		ld := f.dirs[lh]
 		if e := ld.Lookup(line); e != nil {
-			for _, o := range s.nodes {
-				if !e.MustInvalidate(o.id) {
-					continue
-				}
+			it := e.Implicated(len(s.nodes))
+			for id := it.Next(); id >= 0; id = it.Next() {
+				o := s.nodes[id]
 				s.run.DirInvalidations++
 				s.run.DirMessages += 2
 				if o.l2.Lookup(line).Valid() {

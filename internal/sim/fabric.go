@@ -26,8 +26,7 @@ type coherenceFabric interface {
 	// entry point for misses, store upgrades, prefetches, write-backs).
 	issue(n *node, kind coherence.ReqKind, line addr.LineAddr, t event.Cycle, forStore bool)
 	// flushWriteback writes a dirty line back on the region-eviction
-	// flush path: the victim region entry's controller ID routes the data
-	// without any lookup.
+	// flush path, directly to the victim region's home controller mc.
 	flushWriteback(n *node, line addr.LineAddr, mc int, t event.Cycle)
 	// lineEvicted notes a clean line silently leaving n's L2 (capacity
 	// eviction or region-eviction flush). The snooping fabric ignores it;
@@ -86,8 +85,8 @@ func (n *node) applyLocalRoute(kind coherence.ReqKind, line addr.LineAddr, regio
 		panic(fmt.Sprintf("sim: kind %v cannot complete locally", kind))
 	}
 	if n.rca != nil {
-		prev := n.rca.Probe(region).State
-		n.rca.SetState(region, n.protocol.AfterDirect(prev, kind, true))
+		w := n.rca.Probe(region)
+		n.rca.SetWayState(w, n.protocol.AfterDirect(n.rca.State(w), kind, true))
 		n.rca.Stats.LocalCompletions++
 	}
 }
@@ -104,7 +103,7 @@ func (n *node) applyDirectRoute(kind coherence.ReqKind, line addr.LineAddr, regi
 	prev := core.RegionInvalid
 	exclusiveRegion := true // RegionScout only routes direct in unshared regions
 	if n.rca != nil {
-		prev = n.rca.Probe(region).State
+		prev = n.rca.State(n.rca.Probe(region))
 		exclusiveRegion = prev.Exclusive()
 	}
 	dist := s.topo.ProcToMem(n.id, mc)
@@ -196,25 +195,33 @@ func (n *node) applyDirectRoute(kind coherence.ReqKind, line addr.LineAddr, regi
 // self-invalidate when the region holds no cached lines. Every site that
 // makes a remote processor observe a region-touching event — snoop-bus
 // broadcasts, region probes, directory region notifications, DMA writes —
-// funnels through here so the bookkeeping cannot drift between fabrics.
-// It reports whether o held an entry for the region.
+// funnels through here (or, holding the way already, applyExternalAt) so
+// the bookkeeping cannot drift between fabrics. It reports whether o held
+// an entry for the region.
 func applyExternalRegion(o *node, region addr.RegionAddr, kind coherence.ReqKind, requesterExclusive bool) bool {
 	if o.rca == nil {
 		return false
 	}
-	e := o.rca.Probe(region)
-	if e == nil {
+	w := o.rca.Probe(region)
+	if w < 0 {
 		return false
 	}
-	next, outcome := o.protocol.AfterExternal(e.State, kind, requesterExclusive, int(e.LineCount))
+	applyExternalAt(o, w, kind, requesterExclusive)
+	return true
+}
+
+// applyExternalAt is applyExternalRegion for a known holder: way w of o's
+// RCA holds the region.
+func applyExternalAt(o *node, w int, kind coherence.ReqKind, requesterExclusive bool) {
+	st := o.rca.State(w)
+	next, outcome := o.protocol.AfterExternal(st, kind, requesterExclusive, int(o.rca.LineCount(w)))
 	if outcome == core.ExtSelfInvalidated {
 		o.rca.Stats.SelfInvals++
-		o.rca.SetState(region, core.RegionInvalid)
-	} else if next != e.State {
+		o.rca.SetWayState(w, core.RegionInvalid)
+	} else if next != st {
 		o.rca.Stats.DowngradeExt++
-		o.rca.SetState(region, next)
+		o.rca.SetWayState(w, next)
 	}
-	return true
 }
 
 // applyBroadcastResponse runs the requester-side region transition for a
@@ -227,34 +234,65 @@ func applyExternalRegion(o *node, region addr.RegionAddr, kind coherence.ReqKind
 func (n *node) applyBroadcastResponse(region addr.RegionAddr, kind coherence.ReqKind, requesterExclusive, regionClean, regionDirty bool, owner int) bool {
 	resp := coherence.SnoopResponse{RegionClean: regionClean, RegionDirty: regionDirty, OwnerID: owner}
 	prev := core.RegionInvalid
-	if e := n.rca.Probe(region); e != nil {
-		prev = e.State
+	w := n.rca.Probe(region)
+	if w >= 0 {
+		prev = n.rca.State(w)
 	}
 	next := n.protocol.AfterBroadcast(prev, kind, requesterExclusive, resp)
 	if !next.Valid() {
 		return false
 	}
-	if prev.Valid() {
-		n.rca.SetState(region, next)
+	if w >= 0 {
+		n.rca.SetWayState(w, next)
 		return false
 	}
-	n.rca.Allocate(region, next, n.sys.topo.HomeControllerRegion(region))
+	n.rca.Allocate(region, next)
 	return true
 }
 
-// observeRemoteRegion gathers the region snoop response from every node
-// but the requester: whether any remote cache holds clean lines of the
-// region, and whether any holds modifiable ones. Pure observation — used
-// by paths that have no fused snoop loop (region probes, the directory
-// fabric); it must run before any line action mutates the caches.
-//
-// Like performBroadcast, it skips the tag scan of every node whose RCA
-// lacks the region: RCA inclusion means such a node caches none of its
-// lines. DebugChecks cross-checks the answer against the unfiltered scan.
+// regionHolder is one remote node whose RCA holds a region, with the way
+// that holds it.
+type regionHolder struct {
+	o   *node
+	way int
+}
+
+// observeRemoteRegion is the holder pass of a region-touching transaction
+// that has no fused snoop loop (directory home transactions, region
+// probes). It probes every remote RCA once, leaves the holders in
+// s.holders in node order, and returns the region snoop response: whether
+// any remote cache holds clean lines of the region, and whether any holds
+// modifiable ones. RCA inclusion means a non-holder, or a holder whose
+// line count is zero, caches none of the region's lines, so only holders
+// with cached lines scan their L2. It must run before any line action
+// mutates the caches, and the recorded ways stay valid until a remote RCA
+// allocates. Every node must have an RCA (CGCT runs). DebugChecks
+// cross-checks the response against the full scan.
 func (s *System) observeRemoteRegion(exclude int, region addr.RegionAddr) (regionClean, regionDirty bool) {
-	regionClean, regionDirty = s.remoteRegionSnoop(exclude, region, true)
+	s.holders = s.holders[:0]
+	for _, o := range s.nodes {
+		if o.id == exclude {
+			continue
+		}
+		w := o.rca.Probe(region)
+		if w < 0 {
+			continue
+		}
+		s.holders = append(s.holders, regionHolder{o: o, way: w})
+		if o.rca.LineCount(w) == 0 {
+			s.emptyHolderSkips++
+			continue
+		}
+		p, m := o.l2.RegionSnoop(s.geom, region)
+		if p && !m {
+			regionClean = true
+		}
+		if m {
+			regionDirty = true
+		}
+	}
 	if s.DebugChecks {
-		if c, d := s.remoteRegionSnoop(exclude, region, false); c != regionClean || d != regionDirty {
+		if c, d := s.remoteRegionSnoop(exclude, region); c != regionClean || d != regionDirty {
 			coherence.Violate(coherence.InvariantError{
 				Check: "region-snoop-filter", Cycle: uint64(s.queue.Now()), Region: uint64(region),
 				Detail: fmt.Sprintf("p%d RCA-filtered region snoop (clean=%v dirty=%v) differs from full scan (clean=%v dirty=%v)",
@@ -265,11 +303,11 @@ func (s *System) observeRemoteRegion(exclude int, region addr.RegionAddr) (regio
 	return regionClean, regionDirty
 }
 
-// remoteRegionSnoop scans the region in the L2 of every node but exclude;
-// filtered skips nodes whose RCA proves the region absent.
-func (s *System) remoteRegionSnoop(exclude int, region addr.RegionAddr, filtered bool) (regionClean, regionDirty bool) {
+// remoteRegionSnoop scans the region in the L2 of every node but exclude,
+// with no filter (the DebugChecks reference).
+func (s *System) remoteRegionSnoop(exclude int, region addr.RegionAddr) (regionClean, regionDirty bool) {
 	for _, o := range s.nodes {
-		if o.id == exclude || (filtered && o.rca != nil && o.rca.Probe(region) == nil) {
+		if o.id == exclude {
 			continue
 		}
 		p, m := o.l2.RegionSnoop(s.geom, region)
@@ -382,14 +420,14 @@ func (s *System) checkRegionExclusivity(region addr.RegionAddr, cycle event.Cycl
 		if o.rca == nil {
 			continue
 		}
-		e := o.rca.Probe(region)
-		if e == nil || !e.State.Exclusive() {
+		w := o.rca.Probe(region)
+		if w < 0 || !o.rca.State(w).Exclusive() {
 			continue
 		}
 		if holder >= 0 {
 			coherence.Violate(coherence.InvariantError{
 				Check: "region-exclusivity", Cycle: uint64(cycle), Region: uint64(region),
-				States: e.State.String(),
+				States: o.rca.State(w).String(),
 				Detail: fmt.Sprintf("processors %d and %d both hold the region exclusively", holder, o.id),
 			})
 		}

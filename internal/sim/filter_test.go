@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"cgct/internal/addr"
 	"cgct/internal/coherence"
 	"cgct/internal/config"
+	"cgct/internal/core"
 	"cgct/internal/stats"
 )
 
@@ -15,7 +17,9 @@ import (
 // directory oracle asks only the nodes the home entry implicates, and the
 // region snoop skips nodes whose RCA lacks the region — with DebugChecks
 // on, so each filtered answer is asserted equal to the full scan. Each
-// case also checks that the path it exists for actually ran.
+// case also checks that the path it exists for actually ran, and the
+// emptySkip cases that the simulator skipped the tag lookup or region
+// scan of a holder with no cached lines.
 func TestFilteredScansDebugChecked(t *testing.T) {
 	dir16 := func(cgct bool, p config.DirectoryParams) config.Config {
 		cfg := config.Default()
@@ -38,30 +42,40 @@ func TestFilteredScansDebugChecked(t *testing.T) {
 	evictions := func(r *stats.Run) bool { return r.DirEntriesEvicted > 0 }
 	notifies := func(r *stats.Run) bool { return r.DirRegionNotifies > 0 }
 	probes := func(r *stats.Run) bool { return r.RegionProbes > 0 }
+	snoopFiltered := func(r *stats.Run) bool { return r.SnoopTagFiltered > 0 }
 	cases := []struct {
-		name  string
-		cfg   config.Config
-		bench string
-		procs int
-		ops   int
-		ran   func(*stats.Run) bool // the filtered path was exercised
+		name      string
+		cfg       config.Config
+		bench     string
+		procs     int
+		ops       int
+		ran       func(*stats.Run) bool // the filtered path was exercised
+		emptySkip bool
 	}{
-		{"dir16-fullmap", dir16(false, full), "tpc-b", 16, 4_000, func(r *stats.Run) bool { return r.ThreeHops > 0 }},
-		{"dir16-fullmap-cgct", dir16(true, full), "tpc-b", 16, 4_000, notifies},
-		{"dir16-limited", dir16(false, limited), "specjbb2000", 16, 4_000, overflows},
-		{"dir16-limited-cgct", dir16(true, limited), "specjbb2000", 16, 4_000, overflows},
-		{"dir16-sparse", dir16(false, sparse), "tpc-b", 16, 4_000, evictions},
-		{"dir16-sparse-cgct", dir16(true, sparse), "tpc-b", 16, 4_000, evictions},
-		{"snoop-region-prefetch", regionPrefetch, "ocean", 4, 25_000, probes},
-		{"snoop-scaled-back", scaledBack, "ocean", 4, 25_000, probes},
+		{"dir16-fullmap", dir16(false, full), "tpc-b", 16, 4_000, func(r *stats.Run) bool { return r.ThreeHops > 0 }, false},
+		{"dir16-fullmap-cgct", dir16(true, full), "tpc-b", 16, 4_000, notifies, true},
+		{"dir16-limited", dir16(false, limited), "specjbb2000", 16, 4_000, overflows, false},
+		{"dir16-limited-cgct", dir16(true, limited), "specjbb2000", 16, 4_000, overflows, false},
+		{"dir16-sparse", dir16(false, sparse), "tpc-b", 16, 4_000, evictions, false},
+		{"dir16-sparse-cgct", dir16(true, sparse), "tpc-b", 16, 4_000, evictions, true},
+		{"snoop-cgct-256", config.Default().WithCGCT(256), "tpc-w", 4, 25_000, snoopFiltered, true},
+		{"snoop-cgct-1k", config.Default().WithCGCT(1024), "tpc-w", 4, 25_000, snoopFiltered, true},
+		{"snoop-region-prefetch", regionPrefetch, "ocean", 4, 25_000, probes, true},
+		{"snoop-scaled-back", scaledBack, "ocean", 4, 25_000, probes, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			s := MustNew(c.cfg, testWorkload(t, c.bench, c.procs, c.ops, 5), 5)
 			s.DebugChecks = true
-			run := s.Run()
+			run, err := s.RunContext(context.Background())
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
 			if !c.ran(run) {
 				t.Errorf("%s: the filtered path never ran", c.name)
+			}
+			if c.emptySkip && s.emptyHolderSkips == 0 {
+				t.Errorf("%s: no holder with zero cached lines was ever skipped", c.name)
 			}
 		})
 	}
@@ -102,6 +116,16 @@ func TestFilterCrossChecksCatchDivergence(t *testing.T) {
 	s.DebugChecks = true
 	s.nodes[1].l2.SetHooks(nil, nil) // bypass the RCA line-count upkeep
 	s.nodes[1].l2.Allocate(line, coherence.Modified)
+	expectViolation(t, "region-snoop-filter", func() {
+		s.observeRemoteRegion(0, s.geom.RegionOfLine(line))
+	})
+
+	// A holder whose line count says it caches nothing, but does.
+	s = MustNew(cfg, testWorkload(t, "ocean", 4, 100, 1), 1)
+	s.DebugChecks = true
+	s.nodes[1].rca.Allocate(s.geom.RegionOfLine(line), core.RegionCI)
+	s.nodes[1].l2.SetHooks(nil, nil)
+	s.nodes[1].l2.Allocate(line, coherence.Exclusive)
 	expectViolation(t, "region-snoop-filter", func() {
 		s.observeRemoteRegion(0, s.geom.RegionOfLine(line))
 	})

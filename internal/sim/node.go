@@ -538,7 +538,7 @@ func (n *node) firePrefetches(line addr.LineAddr, isStore, wasMiss bool, t event
 			// §6 extension: the region state identifies bad prefetch
 			// candidates — lines in externally dirty regions are likely
 			// cached modified elsewhere and would bounce.
-			if e := n.rca.Probe(n.sys.geom.RegionOfLine(h.Line)); e != nil && e.State.ExternallyDirty() {
+			if w := n.rca.Probe(n.sys.geom.RegionOfLine(h.Line)); w >= 0 && n.rca.State(w).ExternallyDirty() {
 				continue
 			}
 		}
@@ -601,10 +601,11 @@ func (n *node) onL2Evict(l cache.Line, wasEviction bool) {
 
 // onRegionEvict enforces RCA/cache inclusion: before a region entry is
 // displaced, every cached line of the region is flushed (dirty ones are
-// written back directly to the region's home controller — the entry still
-// holds the controller ID).
+// written back directly to the region's home controller, the ID the
+// hardware entry holds).
 func (n *node) onRegionEvict(e core.Entry) {
 	g := n.sys.geom
+	mc := n.sys.topo.HomeControllerRegion(e.Region)
 	for i := 0; i < g.LinesPerRegion(); i++ {
 		line := g.LineInRegion(e.Region, i)
 		st := n.l2.Lookup(line)
@@ -612,7 +613,7 @@ func (n *node) onRegionEvict(e core.Entry) {
 			continue
 		}
 		if st.Dirty() {
-			n.sys.fabric.flushWriteback(n, line, int(e.MemCtrl), n.now())
+			n.sys.fabric.flushWriteback(n, line, mc, n.now())
 		} else {
 			// Clean lines leave silently; the directory fabric still needs
 			// the replacement hint (no-op on the snooping fabric).

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"context"
+	"reflect"
+	"sync"
 	"testing"
 
 	"cgct/internal/addr"
@@ -145,13 +148,13 @@ func TestPostRunInclusionInvariants(t *testing.T) {
 			counts[s.geom.RegionOfLine(l.Addr)]++
 		})
 		for region, want := range counts {
-			e := n.rca.Probe(region)
-			if e == nil {
+			w := n.rca.Probe(region)
+			if w < 0 {
 				t.Errorf("p%d: region %x has %d cached lines but no RCA entry", n.id, uint64(region), want)
 				continue
 			}
-			if e.LineCount != want {
-				t.Errorf("p%d: region %x line count %d, cached %d", n.id, uint64(region), e.LineCount, want)
+			if got := n.rca.LineCount(w); got != want {
+				t.Errorf("p%d: region %x line count %d, cached %d", n.id, uint64(region), got, want)
 			}
 		}
 		// Region entry line counts never exceed reality.
@@ -650,5 +653,44 @@ func TestSectoredL2(t *testing.T) {
 	}
 	if ratio(sec) <= ratio(base) {
 		t.Errorf("sectoring did not raise the miss ratio (%.4f vs %.4f)", ratio(sec), ratio(base))
+	}
+}
+
+// TestLockstepMatchesSequential: systems of a mixed batch (baseline
+// snoop, CGCT and the directory fabric over the same workload) advanced
+// side by side on concurrent goroutines, the way a sweep's worker pool
+// runs them, must each leave a result bit-identical to running it alone.
+func TestLockstepMatchesSequential(t *testing.T) {
+	dir := config.Default()
+	dir.Fabric = config.FabricDirectory
+	dir.Directory = config.DirectoryParams{Scheme: config.DirSchemeFullMap}
+	cfgs := []config.Config{config.Default(), config.Default().WithCGCT(512), dir}
+	const procs, ops, seed = 4, 10_000, 3
+	want := make([]*stats.Run, len(cfgs))
+	for i, cfg := range cfgs {
+		want[i] = MustNew(cfg, testWorkload(t, "ocean", procs, ops, seed), seed).Run()
+	}
+	systems := make([]*System, len(cfgs))
+	for i, cfg := range cfgs {
+		systems[i] = MustNew(cfg, testWorkload(t, "ocean", procs, ops, seed), seed)
+	}
+	runs := make([]*stats.Run, len(systems))
+	errs := make([]error, len(systems))
+	var wg sync.WaitGroup
+	for i, s := range systems {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runs[i], errs[i] = s.RunContext(context.Background())
+		}()
+	}
+	wg.Wait()
+	for i, r := range runs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(r, want[i]) {
+			t.Fatalf("system %d diverged when run alongside the others:\nconcurrent %+v\nsequential %+v", i, r, want[i])
+		}
 	}
 }

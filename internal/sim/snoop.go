@@ -19,17 +19,20 @@ import (
 type snoopFabric struct {
 	s    *System
 	abus *bus.AddressBus
-	// snooped holds, per node, the line state performBroadcast's snoop
-	// phase observed (Invalid where the RCA filter skipped the tags), so
-	// its action phase need not look the tags up again.
-	snooped []coherence.LineState
+	// snooped and snoopedWay hold, per node, the line state and RCA way
+	// performBroadcast's snoop phase observed (Invalid where the RCA
+	// filter skipped the tags, -1 where the RCA lacks the region), so its
+	// action phase need not look either up again.
+	snooped    []coherence.LineState
+	snoopedWay []int
 }
 
 func newSnoopFabric(s *System) *snoopFabric {
 	return &snoopFabric{
-		s:       s,
-		abus:    bus.NewAddressBus(s.cfg.Net),
-		snooped: make([]coherence.LineState, s.cfg.Topology.Processors),
+		s:          s,
+		abus:       bus.NewAddressBus(s.cfg.Net),
+		snooped:    make([]coherence.LineState, s.cfg.Topology.Processors),
+		snoopedWay: make([]int, s.cfg.Topology.Processors),
 	}
 }
 
@@ -51,9 +54,6 @@ func (f *snoopFabric) issue(n *node, kind coherence.ReqKind, line addr.LineAddr,
 		st := n.rca.Lookup(region)
 		rp.RegionStateAtLookup[st]++
 		route = n.protocol.Route(st, kind)
-		if e := n.rca.Probe(region); e != nil {
-			regionMC = int(e.MemCtrl)
-		}
 	}
 	if n.nsrt != nil && kind != coherence.ReqWriteback && n.nsrt.Lookup(region) {
 		// RegionScout: the region is recorded globally unshared.
@@ -208,6 +208,7 @@ func (f *snoopFabric) performBroadcast(n *node, kind coherence.ReqKind, line add
 	crhPresent := false
 	for _, o := range s.nodes {
 		f.snooped[o.id] = coherence.Invalid
+		f.snoopedWay[o.id] = -1
 		if o.id == n.id {
 			continue
 		}
@@ -223,11 +224,23 @@ func (f *snoopFabric) performBroadcast(n *node, kind coherence.ReqKind, line add
 		// every region with cached lines and the hash never misses a present
 		// region, so the simulator exploits the same filter the hardware
 		// does and skips the tag scans outright.
-		if (o.rca != nil && o.rca.Probe(region) == nil) || (o.crh != nil && !crhP) {
+		w := -1
+		if o.rca != nil {
+			w = o.rca.Probe(region)
+			f.snoopedWay[o.id] = w
+		}
+		if (o.rca != nil && w < 0) || (o.crh != nil && !crhP) {
 			s.run.SnoopTagFiltered++
 			continue
 		}
 		s.run.SnoopTagLookups++
+		if w >= 0 && o.rca.LineCount(w) == 0 {
+			// The hardware looks the tags up, but RCA inclusion says the
+			// holder caches none of the region's lines: the simulator
+			// skips the lookup and the region scan.
+			s.emptyHolderSkips++
+			continue
+		}
 		st := o.l2.Lookup(line)
 		f.snooped[o.id] = st
 		if st.Valid() {
@@ -304,7 +317,9 @@ func (f *snoopFabric) performBroadcast(n *node, kind coherence.ReqKind, line add
 			o.nsrt.Observe(region)
 		}
 		// Region protocol: external-request transitions (Figure 5).
-		applyExternalRegion(o, region, kind, requesterExclusive)
+		if w := f.snoopedWay[o.id]; w >= 0 {
+			applyExternalAt(o, w, kind, requesterExclusive)
+		}
 	}
 
 	// --- Region protocol on the requester (Figures 3 and 4). ---
@@ -386,7 +401,7 @@ func (f *snoopFabric) maybeProbeNextRegion(n *node, region addr.RegionAddr, now 
 	rb := uint64(s.geom.RegionBytes)
 	prev := addr.RegionAddr(uint64(region) - rb)
 	next := addr.RegionAddr(uint64(region) + rb)
-	if uint64(region) < rb || n.rca.Probe(prev) == nil || n.rca.Probe(next) != nil {
+	if uint64(region) < rb || n.rca.Probe(prev) < 0 || n.rca.Probe(next) >= 0 {
 		return
 	}
 	f.busSchedule(n, now, nodeOpRegionProbe, 0, uint64(next))
@@ -396,18 +411,15 @@ func (f *snoopFabric) maybeProbeNextRegion(n *node, region addr.RegionAddr, now 
 // visible (grant+SnoopLatency).
 func (f *snoopFabric) performRegionProbe(n *node, region addr.RegionAddr, now event.Cycle) {
 	s := f.s
-	if n.rca == nil || n.rca.Probe(region) != nil {
+	if n.rca == nil || n.rca.Probe(region) >= 0 {
 		return // raced with a demand allocation
 	}
 	regionClean, regionDirty := s.observeRemoteRegion(n.id, region)
-	for _, o := range s.nodes {
-		if o.id == n.id {
-			continue
-		}
+	for _, h := range s.holders {
 		// The probe behaves like an external shared read: remote
 		// exclusives downgrade (or self-invalidate when empty) so
 		// that no silent upgrades can invalidate the prober's view.
-		applyExternalRegion(o, region, coherence.ReqIFetch, false)
+		applyExternalAt(h.o, h.way, coherence.ReqIFetch, false)
 	}
 	if n.applyBroadcastResponse(region, coherence.ReqIFetch, false, regionClean, regionDirty, -1) {
 		s.run.RegionProbes++

@@ -70,6 +70,13 @@ type System struct {
 	verGlobal map[addr.LineAddr]uint64
 	verNode   []map[addr.LineAddr]uint64
 
+	// holders is the reused list observeRemoteRegion's holder pass
+	// fills; emptyHolderSkips counts the holders with no cached lines
+	// whose tag lookup or region scan the simulator skipped (tests assert
+	// the skip ran; it moves no statistic).
+	holders          []regionHolder
+	emptyHolderSkips uint64
+
 	run  stats.Run
 	done int
 }
@@ -152,6 +159,8 @@ const (
 // DebugChecks machinery) are returned as errors unless PanicOnViolation is
 // set; any other panic propagates unchanged.
 func (s *System) RunContext(ctx context.Context) (run *stats.Run, err error) {
+	runsInflight.Add(1)
+	defer runsInflight.Add(-1)
 	defer func() {
 		if r := recover(); r != nil {
 			ie, ok := r.(*coherence.InvariantError)
@@ -200,8 +209,7 @@ func (s *System) RunContext(ctx context.Context) (run *stats.Run, err error) {
 }
 
 // start arms the system for execution: debug-check state, the initial
-// per-node events, and the DMA agent. Exactly one of RunContext or a
-// lockstep driver calls it, once.
+// per-node events, and the DMA agent. RunContext calls it once.
 func (s *System) start() {
 	if s.DebugChecks {
 		s.verGlobal = make(map[addr.LineAddr]uint64)
@@ -219,9 +227,7 @@ func (s *System) start() {
 }
 
 // stepChunk executes up to progressChunkEvents events and returns how
-// many ran, plus whether the run completed (statistics collected). It is
-// the resumable primitive RunContext and RunLockstep batch their
-// progress/cancellation bookkeeping around.
+// many ran, plus whether the run completed (statistics collected).
 func (s *System) stepChunk() (executed int, finished bool) {
 	for i := 0; i < progressChunkEvents; i++ {
 		if !s.queue.Step() {
@@ -230,6 +236,16 @@ func (s *System) stepChunk() (executed int, finished bool) {
 		}
 	}
 	return progressChunkEvents, false
+}
+
+// runsInflight gauges how many simulations are executing process-wide.
+// Exposed as cgct_parallel_runs_inflight.
+var runsInflight atomic.Int64
+
+// RunsInflight returns the number of simulations currently executing
+// process-wide.
+func RunsInflight() uint64 {
+	return uint64(runsInflight.Load())
 }
 
 // eventsTotal counts simulated events executed process-wide across every

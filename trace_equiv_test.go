@@ -9,6 +9,7 @@ package cgct
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -108,9 +109,9 @@ func fabricVariants() []Options {
 	}
 }
 
-// TestRunVariantsBitIdentical: a batched RunVariants sweep — all 5
-// fabric variants in lockstep over one shared trace decode — must return
-// exactly what sequential Run calls return, result for result.
+// TestRunVariantsBitIdentical: a RunVariants sweep — all 5 fabric
+// variants on the worker pool — must return exactly what sequential Run
+// calls return, result for result.
 func TestRunVariantsBitIdentical(t *testing.T) {
 	const bench = "tpc-w"
 	opts := fabricVariants()
@@ -131,48 +132,85 @@ func TestRunVariantsBitIdentical(t *testing.T) {
 	}
 	for i := range opts {
 		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("variant %d diverged under batched replay:\nbatched    %+v\nsequential %+v", i, got[i], want[i])
+			t.Fatalf("variant %d diverged on the pool:\npool       %+v\nsequential %+v", i, got[i], want[i])
 		}
 	}
 }
 
 // TestRunVariantsSchedulingInvariance: results are a function of the
-// requests alone — any batch width and any worker parallelism must
-// produce bit-identical sweeps (the property that makes the scheduler
-// free to choose).
+// requests alone — any pool size must reproduce a per-request Run
+// exactly, over a request list that mixes snoop and directory runs of
+// different lengths (the property that makes the scheduler free to
+// choose its order).
 func TestRunVariantsSchedulingInvariance(t *testing.T) {
 	var reqs []RunRequest
-	for _, bench := range []string{"ocean", "barnes"} {
+	for i, bench := range []string{"ocean", "barnes"} {
 		for _, o := range []Options{
 			{},
 			{CGCT: true, RegionBytes: 256},
 			{CGCT: true, RegionBytes: 1024},
 			{Directory: true},
+			{CGCT: true, Fabric: "directory"},
 		} {
-			o.OpsPerProc, o.Seed = 3_000, 5
+			o.OpsPerProc, o.Seed = 2_000+1_000*i, 5
 			reqs = append(reqs, RunRequest{Benchmark: bench, Options: o})
 		}
 	}
-	ref, err := RunAll(context.Background(), reqs, Sched{Parallelism: 1, VariantsPerDecode: 1})
-	if err != nil {
-		t.Fatal(err)
+	ref := make([]*Result, len(reqs))
+	for i, rq := range reqs {
+		r, err := Run(rq.Benchmark, rq.Options)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref[i] = r
 	}
-	for _, sched := range []Sched{
-		{Parallelism: 1, VariantsPerDecode: 4},
-		{Parallelism: 2, VariantsPerDecode: 3},
-		{Parallelism: 4, VariantsPerDecode: 8},
-		{Parallelism: 8, VariantsPerDecode: 2},
-	} {
+	for _, par := range []int{1, 2, 4, 8} {
+		sched := Sched{Parallelism: par}
 		got, err := RunAll(context.Background(), reqs, sched)
 		if err != nil {
 			t.Fatalf("sched %+v: %v", sched, err)
 		}
 		for i := range reqs {
 			if !reflect.DeepEqual(got[i], ref[i]) {
-				t.Fatalf("sched %+v: request %d (%s %+v) diverged from the sequential reference",
+				t.Fatalf("sched %+v: request %d (%s %+v) diverged from a per-request Run",
 					sched, i, reqs[i].Benchmark, reqs[i].Options)
 			}
 		}
+	}
+}
+
+// TestRunAllCancelled: a cancelled context aborts the sweep with
+// ctx.Err() and no results.
+func TestRunAllCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	reqs := []RunRequest{{Benchmark: "ocean", Options: Options{Processors: 2, OpsPerProc: 5_000, Seed: 1}}}
+	res, err := RunAll(ctx, reqs, Sched{Parallelism: 2})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res != nil {
+		t.Fatal("cancelled sweep returned results")
+	}
+}
+
+// TestRunAllProgress: every pooled run feeds the caller's Progress
+// counter, and the process-wide runs-in-flight gauge drains afterwards.
+func TestRunAllProgress(t *testing.T) {
+	var p Progress
+	ctx := WithProgress(context.Background(), &p)
+	var reqs []RunRequest
+	for seed := uint64(1); seed <= 3; seed++ {
+		reqs = append(reqs, RunRequest{Benchmark: "ocean", Options: Options{Processors: 2, OpsPerProc: 3_000, Seed: seed}})
+	}
+	if _, err := RunAll(ctx, reqs, Sched{Parallelism: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if p.Events() == 0 {
+		t.Fatal("the pool did not advance the progress counter")
+	}
+	if n := sim.RunsInflight(); n != 0 {
+		t.Fatalf("runs-inflight gauge did not drain: %d", n)
 	}
 }
 

@@ -1,30 +1,19 @@
 package cgct
 
-// Batched multi-variant execution: many machine configurations of the
-// same workload run in lockstep over a single decode pass of the shared
-// compiled-trace slab (trace.Fanout), and batches of independent
-// workloads spread across GOMAXPROCS-bounded worker goroutines. Because
-// simulator instances share no mutable state, every batched run is
-// bit-identical to the same configuration run alone — determinism is the
-// contract that makes this safe (see DESIGN.md §11).
-//
-// Intra-run parallelism (Options.SimParallelism, DESIGN.md §16) composes
-// conservatively: multi-variant lockstep batches run each system
-// sequentially (the batch already keeps the machine busy), while
-// single-variant batches run solo and honour SimParallelism. Results are
-// bit-identical under every combination.
+// Sweep execution: every request of a sweep runs as its own simulation
+// (RunContext over the shared compiled trace, with its own cursor) on a
+// bounded pool of worker goroutines. Simulator instances share no
+// mutable state, so every result is bit-identical to the same request
+// run alone, for any pool size — determinism is the contract that makes
+// this safe (see DESIGN.md §11).
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"cgct/internal/config"
-	"cgct/internal/sim"
-	"cgct/internal/trace"
 	"cgct/internal/workload"
 )
 
@@ -35,30 +24,19 @@ type RunRequest struct {
 	Options   Options
 }
 
-// Sched tunes the batched run scheduler. The zero value is the default:
-// GOMAXPROCS worker goroutines, DefaultVariantsPerDecode variants per
-// shared-decode batch. Scheduling choices never affect results — only
-// wall-clock time.
+// Sched tunes the sweep scheduler. The zero value is the default:
+// GOMAXPROCS worker goroutines. Scheduling choices never affect results —
+// only wall-clock time.
 type Sched struct {
-	// Parallelism bounds the worker goroutines executing batches
-	// concurrently (<=0 means GOMAXPROCS).
+	// Parallelism bounds the simulations executing concurrently (<=0
+	// means GOMAXPROCS).
 	Parallelism int
-	// VariantsPerDecode caps how many machine variants of one workload
-	// run in lockstep over a single trace decode (<=0 means
-	// DefaultVariantsPerDecode). 1 disables decode sharing.
-	VariantsPerDecode int
 }
 
-// DefaultVariantsPerDecode is the default lockstep batch width: wide
-// enough to amortise the decode pass across a typical sweep axis, narrow
-// enough that a batch's aggregate cache footprint stays reasonable.
-const DefaultVariantsPerDecode = 8
-
 // RunVariants simulates one benchmark under each of the given option
-// sets, batching variants that share a workload (same processors, ops,
-// seed) over a single trace decode and spreading batches across
-// GOMAXPROCS goroutines. Results are positionally aligned with opts and
-// bit-identical to calling Run once per element.
+// sets, spreading the runs across GOMAXPROCS goroutines. Results are
+// positionally aligned with opts and bit-identical to calling Run once
+// per element.
 func RunVariants(ctx context.Context, benchmark string, opts []Options) ([]*Result, error) {
 	reqs := make([]RunRequest, len(opts))
 	for i, o := range opts {
@@ -67,36 +45,13 @@ func RunVariants(ctx context.Context, benchmark string, opts []Options) ([]*Resu
 	return RunAll(ctx, reqs, Sched{})
 }
 
-// workKey identifies one compiled workload: requests with equal keys
-// replay the same slab and may share a decode batch.
-type workKey struct {
-	benchmark  string
-	processors int
-	opsPerProc int
-	seed       uint64
-}
-
-// batchItem is one request resolved against its machine config.
-type batchItem struct {
-	idx  int // position in the caller's request slice
-	opts Options
-	cfg  config.Config
-}
-
-// runBatch is a group of same-workload variants executed in lockstep.
-type runBatch struct {
-	key   workKey
-	items []batchItem
-	cost  int64 // procs × ops × variants, for longest-first scheduling
-}
-
-// RunAll executes every request, grouping same-workload variants into
-// lockstep batches (bounded by sched.VariantsPerDecode) that share one
-// trace decode, and running batches on sched.Parallelism worker
-// goroutines that claim work longest-batch-first. Results align
-// positionally with reqs; on any error the whole sweep aborts and the
-// results are invalid. Every result is bit-identical to a sequential
-// Run of the same request, for any Sched.
+// RunAll executes every request as its own simulation on
+// min(sched.Parallelism, len(reqs)) worker goroutines, which claim
+// requests longest first (processors × ops per processor) so the tail of
+// the schedule is short. Each run honours its Options.SimParallelism.
+// Results align positionally with reqs; on any error the whole sweep
+// aborts and the results are invalid. Every result is bit-identical to a
+// sequential Run of the same request, for any Sched.
 func RunAll(ctx context.Context, reqs []RunRequest, sched Sched) ([]*Result, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -105,12 +60,18 @@ func RunAll(ctx context.Context, reqs []RunRequest, sched Sched) ([]*Result, err
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	vpd := sched.VariantsPerDecode
-	if vpd <= 0 {
-		vpd = DefaultVariantsPerDecode
-	}
 
-	batches := planBatches(reqs, vpd)
+	order := make([]int, len(reqs))
+	cost := make([]int64, len(reqs))
+	for i, rq := range reqs {
+		_, o := buildConfig(rq.Options)
+		ops := o.OpsPerProc
+		if ops <= 0 {
+			ops = workload.DefaultOpsPerProc
+		}
+		order[i], cost[i] = i, int64(o.Processors)*int64(ops)
+	}
+	sort.SliceStable(order, func(a, b int) bool { return cost[order[a]] > cost[order[b]] })
 	results := make([]*Result, len(reqs))
 
 	runCtx, cancel := context.WithCancel(ctx)
@@ -121,28 +82,27 @@ func RunAll(ctx context.Context, reqs []RunRequest, sched Sched) ([]*Result, err
 		firstErr error
 		wg       sync.WaitGroup
 	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-		mu.Unlock()
-	}
-	workers := min(par, len(batches))
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(par, len(reqs)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(batches) || runCtx.Err() != nil {
+				n := int(next.Add(1)) - 1
+				if n >= len(order) || runCtx.Err() != nil {
 					return
 				}
-				if err := execBatch(runCtx, batches[i], results); err != nil {
-					fail(err)
+				i := order[n]
+				res, err := RunContext(runCtx, reqs[i].Benchmark, reqs[i].Options)
+				if err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+						cancel()
+					}
+					mu.Unlock()
 					return
 				}
+				results[i] = res
 			}
 		}()
 	}
@@ -154,101 +114,4 @@ func RunAll(ctx context.Context, reqs []RunRequest, sched Sched) ([]*Result, err
 		return nil, err
 	}
 	return results, nil
-}
-
-// planBatches normalises every request, groups requests by workload,
-// splits groups into lockstep batches of at most vpd variants, and
-// orders batches longest-first so the tail of the schedule is short.
-func planBatches(reqs []RunRequest, vpd int) []*runBatch {
-	groups := make(map[workKey][]batchItem)
-	var order []workKey // deterministic batch order: first appearance
-	for i, rq := range reqs {
-		cfg, o := buildConfig(rq.Options)
-		ops := o.OpsPerProc
-		if ops <= 0 {
-			ops = workload.DefaultOpsPerProc
-		}
-		k := workKey{benchmark: rq.Benchmark, processors: o.Processors, opsPerProc: ops, seed: o.Seed}
-		if _, seen := groups[k]; !seen {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], batchItem{idx: i, opts: o, cfg: cfg})
-	}
-	var batches []*runBatch
-	for _, k := range order {
-		items := groups[k]
-		for len(items) > 0 {
-			n := min(vpd, len(items))
-			b := &runBatch{key: k, items: items[:n]}
-			b.cost = int64(k.processors) * int64(k.opsPerProc) * int64(n)
-			batches = append(batches, b)
-			items = items[n:]
-		}
-	}
-	sort.SliceStable(batches, func(i, j int) bool { return batches[i].cost > batches[j].cost })
-	return batches
-}
-
-// execBatch runs one lockstep batch: fetch the shared compiled trace,
-// fan its decode out to one workload per variant, and drive the variant
-// systems to completion together. Workloads too large for the shared
-// trace cache fall back to sequential live-generation runs.
-func execBatch(ctx context.Context, b *runBatch, results []*Result) error {
-	tr, err := trace.Get(ctx, trace.Key{
-		Benchmark:  b.key.benchmark,
-		Processors: b.key.processors,
-		OpsPerProc: b.key.opsPerProc,
-		Seed:       b.key.seed,
-	})
-	if errors.Is(err, trace.ErrTooLarge) {
-		for _, it := range b.items {
-			res, rerr := RunContext(ctx, b.key.benchmark, it.opts)
-			if rerr != nil {
-				return rerr
-			}
-			results[it.idx] = res
-		}
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	if len(b.items) == 1 {
-		// A lone variant has no decode to share; run it solo so a
-		// SimParallelism request can engage the windowed (PDES) engine —
-		// under lockstep, intra-run parallelism is disabled (results are
-		// identical either way; only wall-clock differs).
-		it := b.items[0]
-		s, serr := sim.New(it.cfg, tr.Workload(), it.opts.Seed)
-		if serr != nil {
-			return serr
-		}
-		s.DebugChecks = it.opts.DebugChecks
-		run, rerr := s.RunContext(ctx)
-		if rerr != nil {
-			return rerr
-		}
-		res := summarize(b.key.benchmark, it.opts, run)
-		res.PartitionEvents = s.PartitionEvents()
-		results[it.idx] = res
-		return nil
-	}
-	ws := trace.NewFanout(tr, len(b.items)).Workloads()
-	systems := make([]*sim.System, len(b.items))
-	for i, it := range b.items {
-		s, serr := sim.New(it.cfg, ws[i], it.opts.Seed)
-		if serr != nil {
-			return serr
-		}
-		s.DebugChecks = it.opts.DebugChecks
-		systems[i] = s
-	}
-	runs, err := sim.RunLockstep(ctx, systems)
-	if err != nil {
-		return err
-	}
-	for i, it := range b.items {
-		results[it.idx] = summarize(b.key.benchmark, it.opts, runs[i])
-	}
-	return nil
 }
