@@ -68,6 +68,11 @@ type Cache struct {
 	OnEvict func(l Line, wasEviction bool)
 	// OnAllocate observes every line entering the cache.
 	OnAllocate func(l Line)
+	// OnRestate observes every in-place state change of a valid line to
+	// another valid state (SetState, Promote, and Allocate of a present
+	// line), with the prior state. The RCA uses it to keep its count of
+	// modifiable lines.
+	OnRestate func(l addr.LineAddr, from, to coherence.LineState)
 
 	Stats Stats
 }
@@ -177,8 +182,18 @@ func (c *Cache) Promote(l addr.LineAddr, st coherence.LineState) {
 		panic(fmt.Sprintf("cache %s: Promote to invalid state", c.name))
 	}
 	if i := c.Probe(l); i >= 0 {
-		c.tags[i] = uint64(l) | uint64(st)
+		c.restateWay(i, l, st)
 		c.touchWay(i)
+	}
+}
+
+// restateWay sets valid way i, holding l, to the valid state st and
+// reports the change to OnRestate.
+func (c *Cache) restateWay(i int, l addr.LineAddr, st coherence.LineState) {
+	from := coherence.LineState(c.tags[i] & stateMask)
+	c.tags[i] = uint64(l) | uint64(st)
+	if c.OnRestate != nil {
+		c.OnRestate(l, from, st)
 	}
 }
 
@@ -218,7 +233,7 @@ func (c *Cache) Allocate(l addr.LineAddr, st coherence.LineState) (evicted Line)
 		panic(fmt.Sprintf("cache %s: allocating %v in state I", c.name, l))
 	}
 	if i := c.Probe(l); i >= 0 {
-		c.tags[i] = uint64(l) | uint64(st)
+		c.restateWay(i, l, st)
 		c.touchWay(i)
 		return Line{}
 	}
@@ -252,7 +267,7 @@ func (c *Cache) SetState(l addr.LineAddr, st coherence.LineState) {
 		c.invalidateWay(i)
 		return
 	}
-	c.tags[i] = uint64(l) | uint64(st)
+	c.restateWay(i, l, st)
 }
 
 // Invalidate removes the line, returning its prior state (Invalid if it was
@@ -298,29 +313,17 @@ func (c *Cache) ForEachValid(fn func(Line)) {
 	}
 }
 
-// LinesInRegion returns the valid lines the cache holds within the region
-// (using geometry g). The result is in line-address order.
-func (c *Cache) LinesInRegion(g addr.Geometry, r addr.RegionAddr) []Line {
-	var out []Line
-	for i := 0; i < g.LinesPerRegion(); i++ {
-		if w := c.Probe(g.LineInRegion(r, i)); w >= 0 {
-			out = append(out, c.wayLine(w))
-		}
-	}
-	return out
-}
-
-// RegionSnoop summarises the cache's copies within a region: whether any
-// valid line exists and whether any line is in a modifiable-capable state
-// (E, O or M). This is what a remote processor contributes to the region
-// snoop response. Exclusive counts as "dirty" for region purposes because
-// MOESI permits a silent E→M upgrade — a region containing a remote E line
-// cannot be treated as externally clean.
+// RegionSnoop summarises the cache's copies within a region by probing
+// every line of it: whether any valid line exists and whether any line is
+// modifiable (E, O or M; see coherence.LineState.Modifiable). This is
+// what a remote processor contributes to the region snoop response. The
+// simulator answers from the RCA's counts instead; this full scan is the
+// reference its debug checks compare against.
 func (c *Cache) RegionSnoop(g addr.Geometry, r addr.RegionAddr) (present, modifiable bool) {
 	for i := 0; i < g.LinesPerRegion(); i++ {
 		if st := c.Lookup(g.LineInRegion(r, i)); st.Valid() {
 			present = true
-			if st.Dirty() || st == coherence.Exclusive {
+			if st.Modifiable() {
 				return true, true
 			}
 		}

@@ -181,21 +181,6 @@ func TestRegionSnoop(t *testing.T) {
 	}
 }
 
-func TestLinesInRegion(t *testing.T) {
-	c := New("t3", 1<<16, 2, 64)
-	g := addr.MustGeometry(64, 512)
-	r := g.Region(addr.Addr(0x20000))
-	c.Allocate(g.LineInRegion(r, 0), coherence.Shared)
-	c.Allocate(g.LineInRegion(r, 7), coherence.Modified)
-	lines := c.LinesInRegion(g, r)
-	if len(lines) != 2 {
-		t.Fatalf("LinesInRegion = %d entries", len(lines))
-	}
-	if lines[0].Addr != g.LineInRegion(r, 0) || lines[1].Addr != g.LineInRegion(r, 7) {
-		t.Error("wrong lines returned")
-	}
-}
-
 // TestNoDuplicateTagsProperty: after any sequence of allocations and
 // invalidations, a set never holds two valid entries with the same address,
 // and CountValid stays within capacity.

@@ -27,14 +27,18 @@ type Store interface {
 	// position in one lookup — equivalent to SetState then Touch for a
 	// valid target state.
 	Promote(l addr.LineAddr, st coherence.LineState)
-	// RegionSnoop reports region presence and modifiable-capability.
+	// RegionSnoop reports region presence and modifiable-capability by
+	// scanning the region's lines (a reference for debug checks).
 	RegionSnoop(g addr.Geometry, r addr.RegionAddr) (present, modifiable bool)
 	// ForEachValid visits every valid line.
 	ForEachValid(fn func(Line))
 	// CountValid returns the number of valid lines.
 	CountValid() int
-	// SetHooks installs the eviction/allocation observers.
-	SetHooks(onEvict func(Line, bool), onAllocate func(Line))
+	// SetHooks installs the eviction, allocation and restate observers.
+	// onRestate sees every in-place change of a valid line to another
+	// valid state — SetState, Promote, and Allocate of a present line —
+	// with the prior state.
+	SetHooks(onEvict func(Line, bool), onAllocate func(Line), onRestate func(l addr.LineAddr, from, to coherence.LineState))
 	// BaseStats exposes the hit/miss/eviction counters.
 	BaseStats() *Stats
 }
@@ -46,9 +50,10 @@ var _ Store = (*Cache)(nil)
 func (c *Cache) AccessHit(l addr.LineAddr) bool { return c.Access(l).Valid() }
 
 // SetHooks implements Store.
-func (c *Cache) SetHooks(onEvict func(Line, bool), onAllocate func(Line)) {
+func (c *Cache) SetHooks(onEvict func(Line, bool), onAllocate func(Line), onRestate func(l addr.LineAddr, from, to coherence.LineState)) {
 	c.OnEvict = onEvict
 	c.OnAllocate = onAllocate
+	c.OnRestate = onRestate
 }
 
 // BaseStats implements Store.
@@ -82,6 +87,7 @@ type Sectored struct {
 
 	onEvict    func(Line, bool)
 	onAllocate func(Line)
+	onRestate  func(l addr.LineAddr, from, to coherence.LineState)
 
 	stats Stats
 }
@@ -209,12 +215,25 @@ func (s *Sectored) Allocate(l addr.LineAddr, st coherence.LineState) Line {
 	idx := s.lineIdx(l)
 	s.lruTick++
 	sec.lru = s.lruTick
-	fresh := !sec.states[idx].Valid()
-	sec.states[idx] = st
-	if fresh && s.onAllocate != nil {
-		s.onAllocate(Line{Addr: l, State: st})
+	if sec.states[idx].Valid() {
+		s.restate(sec, idx, l, st)
+	} else {
+		sec.states[idx] = st
+		if s.onAllocate != nil {
+			s.onAllocate(Line{Addr: l, State: st})
+		}
 	}
 	return Line{}
+}
+
+// restate sets line idx of sec, a valid line l, to the valid state st and
+// reports the change to the restate hook.
+func (s *Sectored) restate(sec *sector, idx int, l addr.LineAddr, st coherence.LineState) {
+	from := sec.states[idx]
+	sec.states[idx] = st
+	if s.onRestate != nil {
+		s.onRestate(l, from, st)
+	}
 }
 
 // SetState implements Store.
@@ -227,7 +246,7 @@ func (s *Sectored) SetState(l addr.LineAddr, st coherence.LineState) {
 		s.Invalidate(l)
 		return
 	}
-	sec.states[s.lineIdx(l)] = st
+	s.restate(sec, s.lineIdx(l), l, st)
 }
 
 // Invalidate implements Store.
@@ -269,7 +288,7 @@ func (s *Sectored) Promote(l addr.LineAddr, st coherence.LineState) {
 		return
 	}
 	if idx := s.lineIdx(l); sec.states[idx].Valid() {
-		sec.states[idx] = st
+		s.restate(sec, idx, l, st)
 	}
 	s.lruTick++
 	sec.lru = s.lruTick
@@ -281,7 +300,7 @@ func (s *Sectored) RegionSnoop(g addr.Geometry, r addr.RegionAddr) (present, mod
 		st := s.Lookup(g.LineInRegion(r, i))
 		if st.Valid() {
 			present = true
-			if st.Dirty() || st == coherence.Exclusive {
+			if st.Modifiable() {
 				return true, true
 			}
 		}
@@ -312,9 +331,10 @@ func (s *Sectored) CountValid() int {
 }
 
 // SetHooks implements Store.
-func (s *Sectored) SetHooks(onEvict func(Line, bool), onAllocate func(Line)) {
+func (s *Sectored) SetHooks(onEvict func(Line, bool), onAllocate func(Line), onRestate func(l addr.LineAddr, from, to coherence.LineState)) {
 	s.onEvict = onEvict
 	s.onAllocate = onAllocate
+	s.onRestate = onRestate
 }
 
 // BaseStats implements Store.

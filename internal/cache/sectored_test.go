@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 
 	"cgct/internal/addr"
@@ -48,7 +49,7 @@ func TestSectoredWholeSectorEviction(t *testing.T) {
 				dirty++
 			}
 		}
-	}, nil)
+	}, nil, nil)
 	// Fill both ways of set 0 (sectors 0 and 2 map to set 0; 512B sectors,
 	// 2 sets: set = sector index % 2).
 	c.Allocate(sline(0, 0), coherence.Modified)
@@ -140,12 +141,12 @@ func TestSectoredFragmentation(t *testing.T) {
 	sec := NewSectored("frag", 4*512, 1, 64, 512) // 4 sectors capacity
 	conv := New("conv", 4*512, 8, 64)             // 32 lines, enough ways for the sparse set
 	var secEvicted, convEvicted int
-	sec.SetHooks(func(Line, bool) { secEvicted++ }, nil)
+	sec.SetHooks(func(Line, bool) { secEvicted++ }, nil, nil)
 	conv.SetHooks(func(l Line, wasEviction bool) {
 		if wasEviction {
 			convEvicted++
 		}
-	}, nil)
+	}, nil, nil)
 	for i := uint64(0); i < 8; i++ {
 		sec.Allocate(sline(i, 0), coherence.Shared)
 		conv.Allocate(sline(i, 0), coherence.Shared)
@@ -155,5 +156,38 @@ func TestSectoredFragmentation(t *testing.T) {
 	}
 	if convEvicted != 0 {
 		t.Errorf("conventional cache evicted %d of 8 sparse lines", convEvicted)
+	}
+}
+
+// TestRestateHook: both L2 implementations report every in-place change
+// of a valid line to another valid state — SetState, Promote and
+// Allocate of a present line — with the prior state, and nothing else
+// (fills, invalidations and changes to absent lines stay silent).
+func TestRestateHook(t *testing.T) {
+	for _, c := range []Store{small(), smallSectored()} {
+		type change struct {
+			l        addr.LineAddr
+			from, to coherence.LineState
+		}
+		var got []change
+		c.SetHooks(nil, nil, func(l addr.LineAddr, from, to coherence.LineState) {
+			got = append(got, change{l, from, to})
+		})
+		a, b := sline(0, 1), sline(0, 2)
+		c.Allocate(a, coherence.Exclusive) // fill: silent
+		c.SetState(a, coherence.Shared)
+		c.Promote(a, coherence.Modified)
+		c.Allocate(a, coherence.Owned)
+		c.SetState(b, coherence.Shared) // absent: silent
+		c.Promote(b, coherence.Modified)
+		c.SetState(a, coherence.Invalid) // invalidation: silent
+		want := []change{
+			{a, coherence.Exclusive, coherence.Shared},
+			{a, coherence.Shared, coherence.Modified},
+			{a, coherence.Modified, coherence.Owned},
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%T: restate calls %v, want %v", c, got, want)
+		}
 	}
 }

@@ -4,15 +4,15 @@ import "testing"
 
 func TestLineStatePredicates(t *testing.T) {
 	cases := []struct {
-		st              LineState
-		valid, dirty, w bool
-		name            string
+		st                 LineState
+		valid, dirty, w, m bool
+		name               string
 	}{
-		{Invalid, false, false, false, "I"},
-		{Shared, true, false, false, "S"},
-		{Exclusive, true, false, true, "E"},
-		{Owned, true, true, false, "O"},
-		{Modified, true, true, true, "M"},
+		{Invalid, false, false, false, false, "I"},
+		{Shared, true, false, false, false, "S"},
+		{Exclusive, true, false, true, true, "E"},
+		{Owned, true, true, false, true, "O"},
+		{Modified, true, true, true, true, "M"},
 	}
 	for _, c := range cases {
 		if c.st.Valid() != c.valid {
@@ -23,6 +23,9 @@ func TestLineStatePredicates(t *testing.T) {
 		}
 		if c.st.Writable() != c.w {
 			t.Errorf("%v.Writable() = %v", c.st, c.st.Writable())
+		}
+		if c.st.Modifiable() != c.m || c.m != (c.st.Dirty() || c.st == Exclusive) {
+			t.Errorf("%v.Modifiable() = %v", c.st, c.st.Modifiable())
 		}
 		if c.st.String() != c.name {
 			t.Errorf("%v.String() = %q, want %q", c.st, c.st.String(), c.name)

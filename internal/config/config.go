@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"cgct/internal/addr"
+	"cgct/internal/core"
 )
 
 // CPUCyclesPerSystemCycle is the CPU:system clock ratio (1.5 GHz / 150 MHz).
@@ -458,6 +459,10 @@ func (c Config) Validate() error {
 	if c.CGCTEnabled {
 		if !addr.IsPow2(c.RCA.RegionBytes) || c.RCA.RegionBytes < c.L2.LineBytes {
 			return fmt.Errorf("config: region size %d invalid (must be power of two >= line size)", c.RCA.RegionBytes)
+		}
+		if lines := c.RCA.RegionBytes / c.L2.LineBytes; lines > core.MaxLinesPerRegion {
+			return fmt.Errorf("config: region size %d spans %d lines, more than an RCA entry counts (%d)",
+				c.RCA.RegionBytes, lines, core.MaxLinesPerRegion)
 		}
 		if !addr.IsPow2(c.RCA.Sets) || c.RCA.Assoc <= 0 {
 			return fmt.Errorf("config: RCA geometry invalid (%d sets, %d ways)", c.RCA.Sets, c.RCA.Assoc)

@@ -115,6 +115,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.L1D.LineBytes = 128 }, // mismatched line sizes
 		func(c *Config) { c.CGCTEnabled = true; c.RCA.RegionBytes = 48 },
 		func(c *Config) { c.CGCTEnabled = true; c.RCA.Sets = 1000 },
+		func(c *Config) { *c = c.WithCGCT(64 << 20) }, // 2^20 lines: more than an RCA count word holds
 		func(c *Config) { c.Proc.CommitWidth = 0 },
 		func(c *Config) { c.Proc.DemandOverlap = 0 },
 		func(c *Config) { c.Net.MemCtrlBanks = 0 },
@@ -133,6 +134,11 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
+	}
+	// The largest power-of-two region an RCA count word holds, 32768
+	// 64-byte lines, is accepted.
+	if err := Default().WithCGCT(2 << 20).Validate(); err != nil {
+		t.Errorf("2 MiB region rejected: %v", err)
 	}
 }
 

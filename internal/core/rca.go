@@ -8,17 +8,20 @@ import (
 )
 
 // Entry is one Region Coherence Array entry as the replacement hook and
-// diagnostics see it: the coarse-grain state of one aligned region, plus
-// the line count used for self-invalidation and replacement. The RCA
-// itself stores entries packed into tag words (see RCA).
+// diagnostics see it: the coarse-grain state of one aligned region, the
+// line count used for self-invalidation and replacement, and how many of
+// those lines are modifiable (E, O or M), from which the entry answers a
+// region snoop. The RCA itself stores entries packed into tag words and
+// count words (see RCA).
 //
 // The hardware entry also holds the region's home memory-controller ID
 // (Table 2 counts its bits). The host copy derives it instead: it is
 // always the topology's home controller of the region.
 type Entry struct {
-	Region    addr.RegionAddr
-	LineCount int32 // lines of this region currently cached by this processor
-	State     RegionState
+	Region     addr.RegionAddr
+	LineCount  int32 // lines of this region currently cached by this processor
+	Modifiable int32 // of those, lines in E, O or M
+	State      RegionState
 }
 
 // stateMask selects a tag word's RegionState bits. Region addresses are
@@ -27,6 +30,19 @@ type Entry struct {
 const (
 	stateMask      = 7
 	minRegionBytes = stateMask + 1
+)
+
+// A count word packs a way's line count into its low 16 bits and its
+// modifiable-line count into the high 16 bits, so a region snoop reads
+// one word. config.Validate caps regions at MaxLinesPerRegion lines, so
+// neither half can carry into the other.
+const (
+	lineCountMask = 1<<16 - 1
+	modifiableOne = 1 << 16
+
+	// MaxLinesPerRegion is the most lines a region may span: the largest
+	// count a 16-bit half of a count word holds.
+	MaxLinesPerRegion = lineCountMask
 )
 
 // RCAStats counts RCA events.
@@ -55,8 +71,8 @@ func (s RCAStats) EmptyEvictFraction() float64 {
 // RCA is a set-associative Region Coherence Array. Each way is one tag
 // word — the region address with its RegionState in the always-zero low
 // bits — so a probe reads only its set's tag words. Replacement stamps and
-// line counts live in parallel arrays, touched only on hits, fills and
-// line-count updates.
+// count words live in parallel arrays, touched only on hits, fills,
+// line-count updates and region snoops.
 type RCA struct {
 	geom    addr.Geometry
 	sets    uint64
@@ -64,7 +80,7 @@ type RCA struct {
 	setMask uint64
 	tags    []uint64 // sets * assoc, set-major; 0 state bits = invalid
 	lrus    []uint64 // replacement stamp per way (higher = more recent)
-	counts  []int32  // cached lines per way
+	counts  []uint32 // count word per way: cached lines | modifiable lines<<16
 	lruTick uint64
 
 	// OnEvict is called with the victim entry before it is replaced or
@@ -79,7 +95,8 @@ type RCA struct {
 // NewRCA builds an RCA with the given geometry. sets must be a power of
 // two.
 func NewRCA(geom addr.Geometry, sets uint64, assoc int) *RCA {
-	if sets == 0 || !addr.IsPow2(sets) || assoc <= 0 || geom.RegionBytes < minRegionBytes {
+	if sets == 0 || !addr.IsPow2(sets) || assoc <= 0 || geom.RegionBytes < minRegionBytes ||
+		geom.LinesPerRegion() > MaxLinesPerRegion {
 		panic(fmt.Sprintf("core: bad RCA geometry (%d sets, %d ways, %d-byte regions)", sets, assoc, geom.RegionBytes))
 	}
 	ways := sets * uint64(assoc)
@@ -91,7 +108,7 @@ func NewRCA(geom addr.Geometry, sets uint64, assoc int) *RCA {
 		setMask: sets - 1,
 		tags:    words[:ways:ways],
 		lrus:    words[ways:],
-		counts:  make([]int32, ways),
+		counts:  make([]uint32, ways),
 	}
 }
 
@@ -115,7 +132,8 @@ func (r *RCA) setBase(region addr.RegionAddr) int {
 // wayEntry unpacks way w.
 func (r *RCA) wayEntry(w int) Entry {
 	t := r.tags[w]
-	return Entry{Region: addr.RegionAddr(t &^ stateMask), LineCount: r.counts[w], State: RegionState(t & stateMask)}
+	return Entry{Region: addr.RegionAddr(t &^ stateMask), LineCount: r.LineCount(w), Modifiable: r.ModifiableCount(w),
+		State: RegionState(t & stateMask)}
 }
 
 // Probe returns the index of the way holding region in a valid state, or
@@ -137,7 +155,20 @@ func (r *RCA) Probe(region addr.RegionAddr) int {
 func (r *RCA) State(w int) RegionState { return RegionState(r.tags[w] & stateMask) }
 
 // LineCount returns how many lines of way w's region are cached.
-func (r *RCA) LineCount(w int) int32 { return r.counts[w] }
+func (r *RCA) LineCount(w int) int32 { return int32(r.counts[w] & lineCountMask) }
+
+// ModifiableCount returns how many lines of way w's region are cached in
+// E, O or M.
+func (r *RCA) ModifiableCount(w int) int32 { return int32(r.counts[w] >> 16) }
+
+// RegionSnoop returns this processor's contribution to a region snoop
+// response for way w's region (a Probe result): whether it caches any
+// line of the region, and whether any of them is modifiable. It reads
+// the entry's counts, never the cache.
+func (r *RCA) RegionSnoop(w int) (present, modifiable bool) {
+	c := r.counts[w]
+	return c != 0, c >= modifiableOne
+}
 
 // Lookup returns the region's state, counting a hit or miss, and refreshes
 // LRU on hit. Missing regions return RegionInvalid.
@@ -226,7 +257,7 @@ func (r *RCA) Allocate(region addr.RegionAddr, st RegionState) {
 
 func (r *RCA) evictWay(w int) {
 	r.Stats.Evictions++
-	n := r.counts[w]
+	n := r.LineCount(w)
 	r.Stats.EvictedByCount[min(n, 3)]++
 	r.Stats.LineSumAtEvict += uint64(n)
 	if r.OnEvict != nil {
@@ -236,7 +267,7 @@ func (r *RCA) evictWay(w int) {
 }
 
 // invalidateWay clears way w's state bits (keeping the stale region, as
-// hardware keeps a stale tag) and its line count.
+// hardware keeps a stale tag) and its counts.
 func (r *RCA) invalidateWay(w int) {
 	r.tags[w] &^= stateMask
 	r.counts[w] = 0
@@ -260,10 +291,10 @@ func (r *RCA) SetWayState(w int, st RegionState) {
 	r.tags[w] = r.tags[w]&^stateMask | uint64(st)
 }
 
-// IncLineCount notes that a line of region entered the cache. The region
-// must be present (inclusion invariant); the simulator allocates the entry
-// before filling lines.
-func (r *RCA) IncLineCount(region addr.RegionAddr) {
+// IncLineCount notes that a line of region entered the cache in state st.
+// The region must be present (inclusion invariant); the simulator
+// allocates the entry before filling lines.
+func (r *RCA) IncLineCount(region addr.RegionAddr, st coherence.LineState) {
 	w := r.Probe(region)
 	if w < 0 {
 		coherence.Violate(coherence.InvariantError{
@@ -271,23 +302,57 @@ func (r *RCA) IncLineCount(region addr.RegionAddr) {
 			Detail: "line fill for a region with no RCA entry",
 		})
 	}
-	r.counts[w]++
+	if st.Modifiable() {
+		r.counts[w] += 1 + modifiableOne
+	} else {
+		r.counts[w]++
+	}
 }
 
-// DecLineCount notes that a line of region left the cache. Tolerates a
-// missing entry (the region may be mid-eviction).
-func (r *RCA) DecLineCount(region addr.RegionAddr) {
+// DecLineCount notes that a line of region left the cache from state st.
+// Tolerates a missing entry (the region may be mid-eviction).
+func (r *RCA) DecLineCount(region addr.RegionAddr, st coherence.LineState) {
 	w := r.Probe(region)
 	if w < 0 {
 		return
 	}
-	r.counts[w]--
-	if r.counts[w] < 0 {
-		coherence.Violate(coherence.InvariantError{
-			Check: "rca-line-count", Region: uint64(region), States: r.State(w).String(),
-			Detail: "negative cached-line count",
-		})
+	if r.counts[w]&lineCountMask == 0 {
+		r.negative(w, "negative cached-line count")
 	}
+	r.counts[w]--
+	if st.Modifiable() {
+		r.decModifiable(w)
+	}
+}
+
+// ModifiableChanged notes that a cached line of region changed state in
+// place and became modifiable (now true) or stopped being so — an S→M
+// upgrade or an E/M→S downgrade. Tolerates a missing entry, as
+// DecLineCount does.
+func (r *RCA) ModifiableChanged(region addr.RegionAddr, now bool) {
+	w := r.Probe(region)
+	if w < 0 {
+		return
+	}
+	if now {
+		r.counts[w] += modifiableOne
+	} else {
+		r.decModifiable(w)
+	}
+}
+
+func (r *RCA) decModifiable(w int) {
+	if r.counts[w] < modifiableOne {
+		r.negative(w, "negative modifiable-line count")
+	}
+	r.counts[w] -= modifiableOne
+}
+
+func (r *RCA) negative(w int, detail string) {
+	coherence.Violate(coherence.InvariantError{
+		Check: "rca-line-count", Region: uint64(r.tags[w] &^ stateMask), States: r.State(w).String(),
+		Detail: detail,
+	})
 }
 
 // ForEachValid visits all valid entries in set-major order

@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"cgct/internal/addr"
+	"cgct/internal/coherence"
 )
 
 func testRCA() *RCA {
@@ -62,7 +63,7 @@ func TestAllocateUpdatesInPlace(t *testing.T) {
 	r := testRCA()
 	reg := regionInSet(2, 0)
 	r.Allocate(reg, RegionCI)
-	r.IncLineCount(reg)
+	r.IncLineCount(reg, coherence.Shared)
 	r.Allocate(reg, RegionDD)
 	w := r.Probe(reg)
 	if r.State(w) != RegionDD {
@@ -80,7 +81,7 @@ func TestReplacementFavorsEmptyRegions(t *testing.T) {
 	r := testRCA()
 	a, b, c := regionInSet(0, 0), regionInSet(0, 1), regionInSet(0, 2)
 	r.Allocate(a, RegionDI)
-	r.IncLineCount(a) // a has cached lines
+	r.IncLineCount(a, coherence.Shared) // a has cached lines
 	r.Allocate(b, RegionCI)
 	// b is empty; despite a being LRU, b must be the victim (§3.2).
 	if v := r.VictimFor(c); v.Region != b {
@@ -102,9 +103,9 @@ func TestReplacementFallsBackToLRU(t *testing.T) {
 	r := testRCA()
 	a, b, c := regionInSet(1, 0), regionInSet(1, 1), regionInSet(1, 2)
 	r.Allocate(a, RegionDI)
-	r.IncLineCount(a)
+	r.IncLineCount(a, coherence.Shared)
 	r.Allocate(b, RegionDI)
-	r.IncLineCount(b)
+	r.IncLineCount(b, coherence.Shared)
 	r.Lookup(a) // refresh a; b becomes LRU
 	r.Allocate(c, RegionCI)
 	if r.Probe(b) >= 0 {
@@ -120,7 +121,7 @@ func TestOnEvictFiresWhileInstalled(t *testing.T) {
 	a, b, c := regionInSet(3, 0), regionInSet(3, 1), regionInSet(3, 2)
 	r.Allocate(a, RegionDI)
 	r.Allocate(b, RegionCI)
-	r.IncLineCount(b)
+	r.IncLineCount(b, coherence.Shared)
 	fired := false
 	r.OnEvict = func(e Entry) {
 		fired = true
@@ -148,14 +149,58 @@ func TestLineCountTracking(t *testing.T) {
 	r := testRCA()
 	reg := regionInSet(0, 3)
 	r.Allocate(reg, RegionDI)
-	r.IncLineCount(reg)
-	r.IncLineCount(reg)
-	r.DecLineCount(reg)
+	r.IncLineCount(reg, coherence.Shared)
+	r.IncLineCount(reg, coherence.Shared)
+	r.DecLineCount(reg, coherence.Shared)
 	if n := r.LineCount(r.Probe(reg)); n != 1 {
 		t.Errorf("line count = %d", n)
 	}
 	// Dec on a missing region is tolerated (mid-eviction).
-	r.DecLineCount(regionInSet(0, 5))
+	r.DecLineCount(regionInSet(0, 5), coherence.Shared)
+}
+
+// TestModifiableCountTracking: the modifiable half of the count word
+// follows fills, drops and in-place state changes of E/O/M lines, and the
+// region snoop answer reads it.
+func TestModifiableCountTracking(t *testing.T) {
+	r := testRCA()
+	reg := regionInSet(1, 2)
+	r.Allocate(reg, RegionDD)
+	w := r.Probe(reg)
+	snoop := func(wantPresent, wantModifiable bool) {
+		t.Helper()
+		if p, m := r.RegionSnoop(w); p != wantPresent || m != wantModifiable {
+			t.Fatalf("RegionSnoop = (%v, %v), want (%v, %v)", p, m, wantPresent, wantModifiable)
+		}
+	}
+	snoop(false, false)
+	r.IncLineCount(reg, coherence.Shared)
+	snoop(true, false)
+	r.IncLineCount(reg, coherence.Exclusive)
+	r.IncLineCount(reg, coherence.Owned)
+	if r.LineCount(w) != 3 || r.ModifiableCount(w) != 2 {
+		t.Fatalf("counts = %d/%d, want 3/2", r.LineCount(w), r.ModifiableCount(w))
+	}
+	snoop(true, true)
+	r.ModifiableChanged(reg, false) // E→S
+	r.DecLineCount(reg, coherence.Owned)
+	snoop(true, false)
+	r.ModifiableChanged(reg, true) // S→M
+	snoop(true, true)
+	if e := r.wayEntry(w); e.LineCount != 2 || e.Modifiable != 1 {
+		t.Fatalf("entry = %+v, want 2 lines, 1 modifiable", e)
+	}
+	r.DecLineCount(reg, coherence.Modified)
+	r.DecLineCount(reg, coherence.Shared)
+	snoop(false, false)
+	// Changes on a missing region are tolerated, as DecLineCount's are.
+	r.ModifiableChanged(regionInSet(1, 5), true)
+	defer func() {
+		if recover() == nil {
+			t.Error("negative modifiable count did not panic")
+		}
+	}()
+	r.ModifiableChanged(reg, false)
 }
 
 func TestIncLineCountWithoutEntryPanics(t *testing.T) {
@@ -164,7 +209,7 @@ func TestIncLineCountWithoutEntryPanics(t *testing.T) {
 			t.Error("IncLineCount without entry did not panic (inclusion violation)")
 		}
 	}()
-	testRCA().IncLineCount(regionInSet(0, 0))
+	testRCA().IncLineCount(regionInSet(0, 0), coherence.Shared)
 }
 
 func TestNegativeLineCountPanics(t *testing.T) {
@@ -176,7 +221,7 @@ func TestNegativeLineCountPanics(t *testing.T) {
 			t.Error("negative line count did not panic")
 		}
 	}()
-	r.DecLineCount(reg)
+	r.DecLineCount(reg, coherence.Shared)
 }
 
 func TestSetStateInvalidClears(t *testing.T) {

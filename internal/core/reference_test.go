@@ -7,15 +7,17 @@ import (
 	"testing"
 
 	"cgct/internal/addr"
+	"cgct/internal/coherence"
 )
 
 // refEntry is one way of the reference RCA, a plain array-of-structs
-// layout with the region, stamp, line count and state side by side.
+// layout with the region, stamp, line counts and state side by side.
 type refEntry struct {
-	Region    addr.RegionAddr
-	lru       uint64
-	LineCount int32
-	State     RegionState
+	Region     addr.RegionAddr
+	lru        uint64
+	LineCount  int32
+	Modifiable int32
+	State      RegionState
 }
 
 // refRCA is a straightforward array-of-structs RCA with the RCA
@@ -96,7 +98,7 @@ func (r *refRCA) victim(region addr.RegionAddr) *refEntry {
 }
 
 func (e *refEntry) entry() Entry {
-	return Entry{Region: e.Region, LineCount: e.LineCount, State: e.State}
+	return Entry{Region: e.Region, LineCount: e.LineCount, Modifiable: e.Modifiable, State: e.State}
 }
 
 func (r *refRCA) victimFor(region addr.RegionAddr) Entry {
@@ -122,7 +124,7 @@ func (r *refRCA) allocate(region addr.RegionAddr, st RegionState) {
 		r.stats.EvictedByCount[min(v.LineCount, 3)]++
 		r.stats.LineSumAtEvict += uint64(v.LineCount)
 		r.onEvict(v.entry())
-		v.State, v.LineCount = RegionInvalid, 0
+		v.State, v.LineCount, v.Modifiable = RegionInvalid, 0, 0
 	}
 	r.stats.Allocations++
 	r.tick++
@@ -133,7 +135,7 @@ func (r *refRCA) setState(region addr.RegionAddr, st RegionState) {
 	if e := r.probe(region); e != nil {
 		e.State = st
 		if !st.Valid() {
-			e.LineCount = 0
+			e.LineCount, e.Modifiable = 0, 0
 		}
 	}
 }
@@ -150,15 +152,17 @@ func (r *refRCA) valid() []Entry {
 
 // TestPackedRCAMatchesReference drives the packed RCA and the reference
 // RCA with identical random op sequences and requires every observable to
-// agree after each op: return values (states, victims), the entry's state
-// and line count, the OnEvict sequence, Stats, and ForEachValid order.
-// Each set sees a handful of distinct regions with line counts that rise
-// and fall, so hits, conflicts, empty-first and LRU replacement,
-// re-allocation and self-invalidation of stale ways all happen
-// constantly.
+// agree after each op: return values (states, victims, region snoop
+// answers), the entry's state, line count and modifiable count, the
+// OnEvict sequence, Stats, and ForEachValid order. Each set sees a
+// handful of distinct regions with line counts that rise and fall, and
+// cached lines that turn modifiable and back, so hits, conflicts,
+// empty-first and LRU replacement, re-allocation and self-invalidation
+// of stale ways all happen constantly.
 func TestPackedRCAMatchesReference(t *testing.T) {
 	geom := addr.MustGeometry(64, 512)
 	states := []RegionState{RegionCI, RegionCC, RegionCD, RegionDI, RegionDC, RegionDD}
+	lineStates := []coherence.LineState{coherence.Shared, coherence.Exclusive, coherence.Owned, coherence.Modified}
 	for _, assoc := range []int{2, 4} {
 		for seed := int64(1); seed <= 8; seed++ {
 			t.Run(fmt.Sprintf("%dway/seed%d", assoc, seed), func(t *testing.T) {
@@ -176,7 +180,7 @@ func TestPackedRCAMatchesReference(t *testing.T) {
 					region := addr.RegionAddr(uint64(tag*sets+rng.Intn(sets))*geom.RegionBytes + 1<<24)
 					st := states[rng.Intn(len(states))]
 					var op string
-					switch rng.Intn(8) {
+					switch rng.Intn(9) {
 					case 0, 1:
 						op = "Allocate"
 						r.Allocate(region, st)
@@ -196,16 +200,47 @@ func TestPackedRCAMatchesReference(t *testing.T) {
 					case 4, 5:
 						op = "IncLineCount"
 						if e := ref.probe(region); e != nil {
-							r.IncLineCount(region)
+							ls := lineStates[rng.Intn(len(lineStates))]
+							r.IncLineCount(region, ls)
 							e.LineCount++
+							if ls.Modifiable() {
+								e.Modifiable++
+							}
 						}
 					case 6:
 						op = "DecLineCount"
-						if e := ref.probe(region); e == nil || e.LineCount > 0 {
-							r.DecLineCount(region)
+						// A dropped line's state must be one the entry
+						// counts: modifiable only if some cached line is,
+						// and not modifiable only if some cached line is not.
+						e := ref.probe(region)
+						ls := lineStates[rng.Intn(len(lineStates))]
+						switch {
+						case e == nil:
+						case e.Modifiable == 0:
+							ls = coherence.Shared
+						case e.Modifiable == e.LineCount:
+							ls = lineStates[1+rng.Intn(len(lineStates)-1)]
+						}
+						if e == nil || e.LineCount > 0 {
+							r.DecLineCount(region, ls)
 							if e != nil {
 								e.LineCount--
+								if ls.Modifiable() {
+									e.Modifiable--
+								}
 							}
+						}
+					case 7:
+						op = "ModifiableChanged"
+						now := rng.Intn(2) == 0
+						if e := ref.probe(region); e == nil {
+							r.ModifiableChanged(region, now)
+						} else if now && e.Modifiable < e.LineCount {
+							r.ModifiableChanged(region, true)
+							e.Modifiable++
+						} else if !now && e.Modifiable > 0 {
+							r.ModifiableChanged(region, false)
+							e.Modifiable--
 						}
 					default:
 						op = "VictimFor"
@@ -217,9 +252,15 @@ func TestPackedRCAMatchesReference(t *testing.T) {
 					if (e != nil) != (w >= 0) {
 						t.Fatalf("step %d after %s: Probe(%x) = %d, reference present=%v", step, op, uint64(region), w, e != nil)
 					}
-					if e != nil && (r.State(w) != e.State || r.LineCount(w) != e.LineCount) {
-						t.Fatalf("step %d after %s: way %d holds %v/%d lines, reference %v/%d",
-							step, op, w, r.State(w), r.LineCount(w), e.State, e.LineCount)
+					if e != nil && (r.State(w) != e.State || r.LineCount(w) != e.LineCount || r.ModifiableCount(w) != e.Modifiable) {
+						t.Fatalf("step %d after %s: way %d holds %v/%d lines/%d modifiable, reference %v/%d/%d",
+							step, op, w, r.State(w), r.LineCount(w), r.ModifiableCount(w), e.State, e.LineCount, e.Modifiable)
+					}
+					if e != nil {
+						if p, m := r.RegionSnoop(w); p != (e.LineCount > 0) || m != (e.Modifiable > 0) {
+							t.Fatalf("step %d after %s: RegionSnoop(%d) = (%v, %v), reference %d lines, %d modifiable",
+								step, op, w, p, m, e.LineCount, e.Modifiable)
+						}
 					}
 					// The next victim exposes the replacement order,
 					// including which of several ways is the LRU one.

@@ -11,8 +11,10 @@
 // recently-used entry, whose cached copies the caller must invalidate.
 //
 // The package is purely bookkeeping — messages, latency and cache state
-// changes stay in the simulator. Everything here is deterministic: entry
-// iteration order is the LRU list, never a map walk.
+// changes stay in the simulator. Everything here is deterministic: entries
+// are found through an open-addressed table and kept in a slab, and the
+// only order that reaches a result, the sparse victim order, is an exact
+// LRU list.
 package directory
 
 import (
@@ -32,7 +34,9 @@ const maskWords = 2
 // MaxProcessors is the largest processor count the sharer mask can track.
 const MaxProcessors = maskWords * 64
 
-// Entry is one line's directory state at its home controller.
+// Entry is one line's directory state at its home controller. Entries
+// live in their Directory's slab and never move, so an *Entry stays valid
+// while the line is tracked.
 type Entry struct {
 	line addr.LineAddr
 
@@ -40,17 +44,20 @@ type Entry struct {
 	Owner int
 
 	// mask is the exact sharer set (full map, or the limited pointers
-	// while precise). count caches its population.
-	mask  [maskWords]uint64
-	count int
+	// while precise).
+	mask [maskWords]uint64
+
+	// prev and next link a sparse directory's LRU list (slab indices,
+	// most-recently-used first); next also chains the free list.
+	prev, next int32
+
+	// count caches the mask's population (at most MaxProcessors).
+	count uint8
 
 	// Overflowed marks a limited-pointer entry that lost precision: more
 	// sharers appeared than pointers exist, so the sharer set is a
 	// conservative "maybe anyone" and invalidations must broadcast.
 	Overflowed bool
-
-	// LRU list links (most-recently-used at the front).
-	prev, next *Entry
 }
 
 // Line returns the line this entry tracks.
@@ -67,7 +74,7 @@ func (e *Entry) Has(id int) bool {
 }
 
 // Sharers returns the number of precise sharers recorded.
-func (e *Entry) Sharers() int { return e.count }
+func (e *Entry) Sharers() int { return int(e.count) }
 
 // AddSharer records node id as a sharer. Under the limited-pointer scheme
 // (pointers > 0) the entry overflows when a new sharer would exceed the
@@ -80,7 +87,7 @@ func (e *Entry) AddSharer(id, pointers int) (overflowed bool) {
 	if e.Has(id) {
 		return false
 	}
-	if pointers > 0 && e.count >= pointers {
+	if pointers > 0 && int(e.count) >= pointers {
 		e.Overflowed = true
 		e.mask = [maskWords]uint64{}
 		e.count = 0
@@ -171,19 +178,58 @@ type Stats struct {
 	Peak         uint64 // peak live entries
 }
 
+// chunkEntries is the slab's growth step: entries are allocated this many
+// at a time and never move afterwards.
+const (
+	chunkShift   = 8
+	chunkEntries = 1 << chunkShift
+	chunkMask    = chunkEntries - 1
+)
+
+// bucket is one slot of a Directory's open-addressed line table, packed
+// into a word: the top 32 bits of the tracked line's hash above the slab
+// index of its entry. The hash bits filter a probe's compares, and they
+// hold the line's home bucket, so rehashing and deletion never read an
+// entry. Slab index 0 is never an entry (it is the LRU sentinel), so a
+// zero bucket is empty.
+type bucket uint64
+
+const slotMask = 1<<32 - 1
+
+func (b bucket) slot() int32 { return int32(b & slotMask) }
+
+// lineHash is Fibonacci hashing: its top bits mix every address bit (line
+// addresses are aligned, so their low bits are zero). A table of 2^k
+// buckets indexes by the top k bits; k never exceeds 32, since a slab
+// index is an int32 and the table stays at most half full.
+func lineHash(line addr.LineAddr) uint64 { return uint64(line) * 0x9e3779b97f4a7c15 }
+
+// minTableBuckets is the line table's initial size; it doubles whenever
+// it would become more than half full.
+const minTableBuckets = 64
+
 // Directory is the per-home-controller directory.
 type Directory struct {
 	home     int
 	pointers int    // 0 = full map
 	maxEnt   uint64 // 0 = unbounded
 
-	entries map[addr.LineAddr]*Entry
-	// LRU list sentinel: lru.next is most recent, lru.prev the victim.
-	lru  Entry
-	free *Entry // recycled entries (chained via next)
+	// table maps each tracked line to its slab index: linear probing
+	// from a multiplicative hash, backward-shift deletion, so no
+	// tombstones. shift turns a hash, or a bucket, into a bucket index.
+	table []bucket
+	shift uint
+	live  uint64
+
+	// chunks is the entry slab. Index 0 is the sentinel of the LRU list,
+	// which only a sparse directory keeps (its next is the most recent
+	// entry, its prev the victim); used counts the indices handed out.
+	chunks [][]Entry
+	used   int32
+	free   int32 // recycled entries, chained via next; 0 = none
 	// retired holds the last capacity-eviction victim: its state stays
 	// readable until the next Acquire, when it joins the free list.
-	retired *Entry
+	retired int32
 
 	// busyUntil serialises transactions at the home: the directory
 	// pipeline handles one transaction per DirectoryLatency, and bursts
@@ -196,15 +242,16 @@ type Directory struct {
 // New builds the directory for one home controller.
 func New(home int, p config.DirectoryParams) *Directory {
 	d := &Directory{
-		home:    home,
-		maxEnt:  p.MaxEntriesPerHome,
-		entries: make(map[addr.LineAddr]*Entry),
+		home:   home,
+		maxEnt: p.MaxEntriesPerHome,
+		table:  make([]bucket, minTableBuckets),
+		shift:  64 - addr.Log2(minTableBuckets),
+		chunks: [][]Entry{make([]Entry, chunkEntries)},
+		used:   1, // the sentinel
 	}
 	if p.Limited() {
 		d.pointers = p.Pointers
 	}
-	d.lru.next = &d.lru
-	d.lru.prev = &d.lru
 	return d
 }
 
@@ -215,7 +262,7 @@ func (d *Directory) Home() int { return d.home }
 func (d *Directory) Pointers() int { return d.pointers }
 
 // Live returns the current live entry count.
-func (d *Directory) Live() uint64 { return uint64(len(d.entries)) }
+func (d *Directory) Live() uint64 { return d.live }
 
 // Admit grants a transaction a home-pipeline slot at or after t and
 // returns when the slot begins; the caller adds the pipeline occupancy.
@@ -232,43 +279,64 @@ func (d *Directory) Admit(t event.Cycle, occupancy uint64) event.Cycle {
 // Lookup returns the entry for line (touching it in the LRU order), or
 // nil when the line is untracked.
 func (d *Directory) Lookup(line addr.LineAddr) *Entry {
-	e := d.entries[line]
-	if e != nil {
-		d.touch(e)
+	_, slot := d.find(line)
+	if slot == 0 {
+		return nil
 	}
+	e := d.at(slot)
+	d.touch(slot, e)
 	return e
 }
 
 // Peek returns the entry for line without touching the LRU order (for
 // read-only paths like invariant checkers).
-func (d *Directory) Peek(line addr.LineAddr) *Entry { return d.entries[line] }
+func (d *Directory) Peek(line addr.LineAddr) *Entry {
+	if _, slot := d.find(line); slot != 0 {
+		return d.at(slot)
+	}
+	return nil
+}
 
 // Acquire returns the entry for line, creating it if absent. When
 // creation would exceed the sparse-storage bound, the least-recently-used
 // entry is evicted and returned as victim: the caller must invalidate its
 // cached copies (the entry's state is valid until the next Acquire).
 func (d *Directory) Acquire(line addr.LineAddr) (e, victim *Entry) {
-	if e = d.entries[line]; e != nil {
-		d.touch(e)
+	i, slot := d.find(line)
+	if slot != 0 {
+		e = d.at(slot)
+		d.touch(slot, e)
 		return e, nil
 	}
-	if d.retired != nil {
+	if d.retired != 0 {
 		d.recycle(d.retired)
-		d.retired = nil
+		d.retired = 0
 	}
-	if d.maxEnt != 0 && uint64(len(d.entries)) >= d.maxEnt {
-		victim = d.lru.prev
+	if d.maxEnt != 0 && d.live >= d.maxEnt {
+		d.retired = d.at(0).prev
+		victim = d.at(d.retired)
 		d.unlink(victim)
-		d.retired = victim
 		d.Stats.Evictions++
+		i = -1 // the deletion may have shifted line's free bucket
 	}
-	e = d.alloc(line)
-	d.entries[line] = e
-	d.pushFront(e)
+	if (d.live+1)*2 > uint64(len(d.table)) {
+		d.grow()
+		i = -1
+	}
+	if i < 0 {
+		i, _ = d.find(line)
+	}
+	slot = d.alloc(line)
+	d.table[i] = bucket(lineHash(line)&^slotMask | uint64(slot))
+	d.live++
+	e = d.at(slot)
+	if d.maxEnt != 0 {
+		d.pushFront(slot, e)
+	}
 	d.Stats.Allocs++
 	liveEntries.Add(1)
-	if live := d.Live(); live > d.Stats.Peak {
-		d.Stats.Peak = live
+	if d.live > d.Stats.Peak {
+		d.Stats.Peak = d.live
 	}
 	return e, victim
 }
@@ -279,8 +347,7 @@ func (d *Directory) Release(e *Entry) {
 	if !e.Uncached() {
 		return
 	}
-	d.unlink(e)
-	d.recycle(e)
+	d.recycle(d.unlink(e))
 	d.Stats.Drops++
 }
 
@@ -288,56 +355,125 @@ func (d *Directory) Release(e *Entry) {
 // entry gauge. The Directory must not be used afterwards.
 func (d *Directory) Close() {
 	// Add the two's complement of the live count (atomic-decrement idiom).
-	liveEntries.Add(^uint64(len(d.entries)) + 1)
-	d.entries = nil
+	liveEntries.Add(^d.live + 1)
+	d.live = 0
+	d.table, d.chunks = nil, nil
 }
 
-// alloc takes an Entry from the free list or the heap.
-func (d *Directory) alloc(line addr.LineAddr) *Entry {
-	e := d.free
-	if e != nil {
-		d.free = e.next
-		*e = Entry{}
-	} else {
-		e = &Entry{}
+// at returns the entry at slab index slot.
+func (d *Directory) at(slot int32) *Entry {
+	return &d.chunks[slot>>chunkShift][slot&chunkMask]
+}
+
+// find returns the bucket holding line and its entry's slab index, or
+// the empty bucket that ends line's probe sequence and 0.
+func (d *Directory) find(line addr.LineAddr) (int, int32) {
+	h := lineHash(line)
+	mask := len(d.table) - 1
+	for i := int(h >> d.shift); ; i = (i + 1) & mask {
+		b := d.table[i]
+		if b == 0 {
+			return i, 0
+		}
+		if (uint64(b)^h)>>32 == 0 {
+			if slot := b.slot(); d.at(slot).line == line {
+				return i, slot
+			}
+		}
 	}
-	e.line = line
-	e.Owner = -1
-	return e
 }
 
-// unlink drops an entry from the map and LRU list; its state remains
-// readable until recycle.
-func (d *Directory) unlink(e *Entry) {
-	delete(d.entries, e.line)
-	e.prev.next = e.next
-	e.next.prev = e.prev
-	e.prev, e.next = nil, nil
+// homeBucket returns bucket b's home bucket, where its line's probe run starts.
+func (d *Directory) homeBucket(b bucket) int { return int(b >> d.shift) }
+
+// grow doubles the line table and reinserts every tracked line.
+func (d *Directory) grow() {
+	old := d.table
+	d.table = make([]bucket, 2*len(old))
+	d.shift--
+	mask := len(d.table) - 1
+	for _, b := range old {
+		if b == 0 {
+			continue
+		}
+		i := d.homeBucket(b)
+		for d.table[i] != 0 {
+			i = (i + 1) & mask
+		}
+		d.table[i] = b
+	}
+}
+
+// remove empties bucket i by backward-shift deletion: each later bucket
+// of the probe run whose home is at or before the hole moves into it, so
+// no lookup ever stops early at the gap.
+func (d *Directory) remove(i int) {
+	mask := len(d.table) - 1
+	for j := (i + 1) & mask; d.table[j] != 0; j = (j + 1) & mask {
+		if (j-d.homeBucket(d.table[j]))&mask >= (j-i)&mask {
+			d.table[i] = d.table[j]
+			i = j
+		}
+	}
+	d.table[i] = 0
+}
+
+// alloc takes a slab index from the free list, or the next unused one,
+// and initialises its entry for line.
+func (d *Directory) alloc(line addr.LineAddr) int32 {
+	slot := d.free
+	if slot != 0 {
+		d.free = d.at(slot).next
+	} else {
+		if int(d.used) == len(d.chunks)*chunkEntries {
+			d.chunks = append(d.chunks, make([]Entry, chunkEntries))
+		}
+		slot = d.used
+		d.used++
+	}
+	*d.at(slot) = Entry{line: line, Owner: -1}
+	return slot
+}
+
+// unlink drops entry e from the table and the LRU list and returns its
+// slab index; its state remains readable until recycle.
+func (d *Directory) unlink(e *Entry) int32 {
+	i, slot := d.find(e.line)
+	d.remove(i)
+	if d.maxEnt != 0 {
+		d.at(e.prev).next = e.next
+		d.at(e.next).prev = e.prev
+	}
+	d.live--
 	liveEntries.Add(^uint64(0))
+	return slot
 }
 
 // recycle puts an unlinked entry on the free list.
-func (d *Directory) recycle(e *Entry) {
-	e.next = d.free
-	d.free = e
+func (d *Directory) recycle(slot int32) {
+	d.at(slot).next = d.free
+	d.free = slot
 }
 
-func (d *Directory) pushFront(e *Entry) {
-	e.next = d.lru.next
-	e.prev = &d.lru
-	e.next.prev = e
-	d.lru.next = e
+// pushFront makes e, at slab index slot, the most recently used entry of
+// a sparse directory.
+func (d *Directory) pushFront(slot int32, e *Entry) {
+	head := d.at(0)
+	e.prev, e.next = 0, head.next
+	d.at(head.next).prev = slot
+	head.next = slot
 }
 
-// touch makes e the most recently used entry. Only a sparse directory
-// ever picks a victim, so an unbounded one skips the list surgery.
-func (d *Directory) touch(e *Entry) {
-	if d.maxEnt == 0 || d.lru.next == e {
+// touch makes e, at slab index slot, the most recently used entry. Only a
+// sparse directory ever picks a victim, so an unbounded one keeps no LRU
+// list at all.
+func (d *Directory) touch(slot int32, e *Entry) {
+	if d.maxEnt == 0 || d.at(0).next == slot {
 		return
 	}
-	e.prev.next = e.next
-	e.next.prev = e.prev
-	d.pushFront(e)
+	d.at(e.prev).next = e.next
+	d.at(e.next).prev = e.prev
+	d.pushFront(slot, e)
 }
 
 // liveEntries is the process-wide live directory-entry count across every

@@ -71,7 +71,7 @@ func TestLimitedPointerOverflow(t *testing.T) {
 	if e.Overflowed || e.Sharers() != 0 || !e.Uncached() {
 		t.Fatal("ClearSharers must restore precision")
 	}
-	if !e.MustInvalidate(1) == true && e.MustInvalidate(1) {
+	if e.MustInvalidate(1) {
 		t.Fatal("precise empty entry invalidates no one")
 	}
 }

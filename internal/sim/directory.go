@@ -487,7 +487,7 @@ func (f *directoryFabric) remoteCopies(e *directory.Entry, exclude int, line add
 				continue
 			}
 			valid = true
-			if st.Dirty() || st == coherence.Exclusive {
+			if st.Modifiable() {
 				writable = true
 			}
 		}

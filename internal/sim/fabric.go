@@ -262,12 +262,12 @@ type regionHolder struct {
 // probes). It probes every remote RCA once, leaves the holders in
 // s.holders in node order, and returns the region snoop response: whether
 // any remote cache holds clean lines of the region, and whether any holds
-// modifiable ones. RCA inclusion means a non-holder, or a holder whose
-// line count is zero, caches none of the region's lines, so only holders
-// with cached lines scan their L2. It must run before any line action
-// mutates the caches, and the recorded ways stay valid until a remote RCA
-// allocates. Every node must have an RCA (CGCT runs). DebugChecks
-// cross-checks the response against the full scan.
+// modifiable ones. Each holder answers from its entry's line and
+// modifiable counts, as the hardware does (RCA inclusion means a
+// non-holder caches none of the region's lines). It must run before any
+// line action mutates the caches, and the recorded ways stay valid until
+// a remote RCA allocates. Every node must have an RCA (CGCT runs).
+// DebugChecks cross-checks the response against a full scan of the L2s.
 func (s *System) observeRemoteRegion(exclude int, region addr.RegionAddr) (regionClean, regionDirty bool) {
 	s.holders = s.holders[:0]
 	for _, o := range s.nodes {
@@ -279,28 +279,26 @@ func (s *System) observeRemoteRegion(exclude int, region addr.RegionAddr) (regio
 			continue
 		}
 		s.holders = append(s.holders, regionHolder{o: o, way: w})
-		if o.rca.LineCount(w) == 0 {
-			s.emptyHolderSkips++
-			continue
-		}
-		p, m := o.l2.RegionSnoop(s.geom, region)
-		if p && !m {
-			regionClean = true
-		}
-		if m {
-			regionDirty = true
-		}
+		p, m := o.rca.RegionSnoop(w)
+		regionClean = regionClean || p && !m
+		regionDirty = regionDirty || m
 	}
 	if s.DebugChecks {
-		if c, d := s.remoteRegionSnoop(exclude, region); c != regionClean || d != regionDirty {
-			coherence.Violate(coherence.InvariantError{
-				Check: "region-snoop-filter", Cycle: uint64(s.queue.Now()), Region: uint64(region),
-				Detail: fmt.Sprintf("p%d RCA-filtered region snoop (clean=%v dirty=%v) differs from full scan (clean=%v dirty=%v)",
-					exclude, regionClean, regionDirty, c, d),
-			})
-		}
+		s.checkRegionSnoop(exclude, region, regionClean, regionDirty)
 	}
 	return regionClean, regionDirty
+}
+
+// checkRegionSnoop asserts (tests only) that a region snoop response
+// built from RCA counts equals the full scan of every other node's L2.
+func (s *System) checkRegionSnoop(exclude int, region addr.RegionAddr, regionClean, regionDirty bool) {
+	if c, d := s.remoteRegionSnoop(exclude, region); c != regionClean || d != regionDirty {
+		coherence.Violate(coherence.InvariantError{
+			Check: "region-snoop-filter", Cycle: uint64(s.queue.Now()), Region: uint64(region),
+			Detail: fmt.Sprintf("p%d region snoop from RCA counts (clean=%v dirty=%v) differs from full scan (clean=%v dirty=%v)",
+				exclude, regionClean, regionDirty, c, d),
+		})
+	}
 }
 
 // remoteRegionSnoop scans the region in the L2 of every node but exclude,

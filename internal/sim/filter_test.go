@@ -14,12 +14,13 @@ import (
 
 // TestFilteredScansDebugChecked runs every configuration whose simulator
 // scans are filtered the way the hardware filters its snoops — the
-// directory oracle asks only the nodes the home entry implicates, and the
-// region snoop skips nodes whose RCA lacks the region — with DebugChecks
-// on, so each filtered answer is asserted equal to the full scan. Each
-// case also checks that the path it exists for actually ran, and the
-// emptySkip cases that the simulator skipped the tag lookup or region
-// scan of a holder with no cached lines.
+// directory oracle asks only the nodes the home entry implicates, the
+// region snoop asks only the nodes whose RCA holds the region and answers
+// from their entries' counts — with DebugChecks on, so each filtered
+// answer is asserted equal to the full scan. Each case also checks that
+// the path it exists for actually ran, and the emptySkip cases (snooping
+// bus) that the simulator skipped the tag lookup of a holder with no
+// cached lines.
 func TestFilteredScansDebugChecked(t *testing.T) {
 	dir16 := func(cgct bool, p config.DirectoryParams) config.Config {
 		cfg := config.Default()
@@ -33,6 +34,8 @@ func TestFilteredScansDebugChecked(t *testing.T) {
 	full := config.DirectoryParams{}
 	limited := config.DirectoryParams{Scheme: config.DirSchemeLimited, Pointers: 2}
 	sparse := config.DirectoryParams{MaxEntriesPerHome: 64}
+	sectored := config.Default().WithCGCT(512)
+	sectored.L2SectorBytes = 512
 	regionPrefetch := config.Default().WithCGCT(512)
 	regionPrefetch.Proc.RegionPrefetch = true
 	scaledBack := regionPrefetch
@@ -53,13 +56,14 @@ func TestFilteredScansDebugChecked(t *testing.T) {
 		emptySkip bool
 	}{
 		{"dir16-fullmap", dir16(false, full), "tpc-b", 16, 4_000, func(r *stats.Run) bool { return r.ThreeHops > 0 }, false},
-		{"dir16-fullmap-cgct", dir16(true, full), "tpc-b", 16, 4_000, notifies, true},
+		{"dir16-fullmap-cgct", dir16(true, full), "tpc-b", 16, 4_000, notifies, false},
 		{"dir16-limited", dir16(false, limited), "specjbb2000", 16, 4_000, overflows, false},
 		{"dir16-limited-cgct", dir16(true, limited), "specjbb2000", 16, 4_000, overflows, false},
 		{"dir16-sparse", dir16(false, sparse), "tpc-b", 16, 4_000, evictions, false},
-		{"dir16-sparse-cgct", dir16(true, sparse), "tpc-b", 16, 4_000, evictions, true},
+		{"dir16-sparse-cgct", dir16(true, sparse), "tpc-b", 16, 4_000, evictions, false},
 		{"snoop-cgct-256", config.Default().WithCGCT(256), "tpc-w", 4, 25_000, snoopFiltered, true},
 		{"snoop-cgct-1k", config.Default().WithCGCT(1024), "tpc-w", 4, 25_000, snoopFiltered, true},
+		{"snoop-sectored-cgct", sectored, "specweb99", 4, 25_000, snoopFiltered, true},
 		{"snoop-region-prefetch", regionPrefetch, "ocean", 4, 25_000, probes, true},
 		{"snoop-scaled-back", scaledBack, "ocean", 4, 25_000, probes, true},
 	}
@@ -95,10 +99,21 @@ func expectViolation(t *testing.T, check string, fn func()) {
 	fn()
 }
 
+// plantStaleModifiable gives p1 a region entry and a cached line of it
+// that went E→S with the restate hook bypassed, so the entry still counts
+// the line modifiable while the cache holds it clean.
+func plantStaleModifiable(s *System, line addr.LineAddr) {
+	o := s.nodes[1]
+	o.rca.Allocate(s.geom.RegionOfLine(line), core.RegionCI)
+	o.l2.Allocate(line, coherence.Exclusive)
+	o.l2.SetHooks(o.onL2Evict, o.onL2Allocate, nil)
+	o.l2.SetState(line, coherence.Shared)
+}
+
 // TestFilterCrossChecksCatchDivergence plants a cached copy the filters
 // cannot see — a line with no directory record, a region line with no
-// RCA entry — and requires the DebugChecks cross-check to flag the
-// filtered answer.
+// RCA entry, a stale modifiable count — and requires the DebugChecks
+// cross-check to flag the filtered answer.
 func TestFilterCrossChecksCatchDivergence(t *testing.T) {
 	line := addr.LineAddr(0x40000)
 
@@ -114,7 +129,7 @@ func TestFilterCrossChecksCatchDivergence(t *testing.T) {
 	cfg = config.Default().WithCGCT(512)
 	s = MustNew(cfg, testWorkload(t, "ocean", 4, 100, 1), 1)
 	s.DebugChecks = true
-	s.nodes[1].l2.SetHooks(nil, nil) // bypass the RCA line-count upkeep
+	s.nodes[1].l2.SetHooks(nil, nil, nil) // bypass the RCA line-count upkeep
 	s.nodes[1].l2.Allocate(line, coherence.Modified)
 	expectViolation(t, "region-snoop-filter", func() {
 		s.observeRemoteRegion(0, s.geom.RegionOfLine(line))
@@ -124,9 +139,24 @@ func TestFilterCrossChecksCatchDivergence(t *testing.T) {
 	s = MustNew(cfg, testWorkload(t, "ocean", 4, 100, 1), 1)
 	s.DebugChecks = true
 	s.nodes[1].rca.Allocate(s.geom.RegionOfLine(line), core.RegionCI)
-	s.nodes[1].l2.SetHooks(nil, nil)
+	s.nodes[1].l2.SetHooks(nil, nil, nil)
 	s.nodes[1].l2.Allocate(line, coherence.Exclusive)
 	expectViolation(t, "region-snoop-filter", func() {
 		s.observeRemoteRegion(0, s.geom.RegionOfLine(line))
+	})
+
+	// A stale modifiable count, on both fabrics: the directory's home
+	// transaction and the snooping bus's broadcast.
+	s = MustNew(cfg.WithDirectory(config.DirectoryParams{}), testWorkload(t, "ocean", 4, 100, 1), 1)
+	s.DebugChecks = true
+	plantStaleModifiable(s, line)
+	expectViolation(t, "region-snoop-filter", func() {
+		s.observeRemoteRegion(0, s.geom.RegionOfLine(line))
+	})
+	s = MustNew(cfg, testWorkload(t, "ocean", 4, 100, 1), 1)
+	s.DebugChecks = true
+	plantStaleModifiable(s, line)
+	expectViolation(t, "region-snoop-filter", func() {
+		s.fabric.(*snoopFabric).performBroadcast(s.nodes[0], coherence.ReqRead, line+64, s.geom.RegionOfLine(line), 0, false)
 	})
 }

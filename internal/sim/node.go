@@ -234,8 +234,9 @@ func newNode(s *System, id int, src workload.Source) *node {
 		n.nsrt = regionscout.NewNSRT(s.cfg.Scout.NSRTEntries, s.cfg.Scout.NSRTAssoc, s.cfg.RCA.RegionBytes)
 	}
 	// Inclusion hooks: L2 evictions/invalidations back-invalidate the L1s,
-	// maintain the RCA line counts, and generate write-backs.
-	n.l2.SetHooks(n.onL2Evict, n.onL2Allocate)
+	// maintain the RCA line counts, and generate write-backs; in-place
+	// state changes maintain the RCA's modifiable-line counts.
+	n.l2.SetHooks(n.onL2Evict, n.onL2Allocate, n.onL2Restate)
 	return n
 }
 
@@ -562,12 +563,12 @@ func (n *node) fillL1D(line addr.LineAddr, modified bool) {
 	n.l1d.Allocate(line, st)
 }
 
-// onL2Allocate maintains the RCA line count (inclusion between region
+// onL2Allocate maintains the RCA line counts (inclusion between region
 // state and cache contents).
 func (n *node) onL2Allocate(l cache.Line) {
 	n.sys.trackFill(n.id, l.Addr)
 	if n.rca != nil {
-		n.rca.IncLineCount(n.sys.geom.RegionOfLine(l.Addr))
+		n.rca.IncLineCount(n.sys.geom.RegionOfLine(l.Addr), l.State)
 	}
 	if n.crh != nil {
 		n.crh.Inc(n.sys.geom.RegionOfLine(l.Addr))
@@ -584,7 +585,7 @@ func (n *node) onL2Evict(l cache.Line, wasEviction bool) {
 	n.l1i.Invalidate(l.Addr)
 	n.l1d.Invalidate(l.Addr)
 	if n.rca != nil {
-		n.rca.DecLineCount(n.sys.geom.RegionOfLine(l.Addr))
+		n.rca.DecLineCount(n.sys.geom.RegionOfLine(l.Addr), l.State)
 	}
 	if n.crh != nil {
 		n.crh.Dec(n.sys.geom.RegionOfLine(l.Addr))
@@ -599,19 +600,32 @@ func (n *node) onL2Evict(l cache.Line, wasEviction bool) {
 	}
 }
 
+// onL2Restate keeps the RCA's modifiable-line count when a cached line
+// changes state in place. Only downgrades to S (from E, or from M on the
+// directory fabric) and upgrades from S change whether the line is
+// modifiable; the rest (E→M, M→O, O→M) leave the RCA untouched.
+func (n *node) onL2Restate(l addr.LineAddr, from, to coherence.LineState) {
+	if n.rca != nil && from.Modifiable() != to.Modifiable() {
+		n.rca.ModifiableChanged(n.sys.geom.RegionOfLine(l), to.Modifiable())
+	}
+}
+
 // onRegionEvict enforces RCA/cache inclusion: before a region entry is
 // displaced, every cached line of the region is flushed (dirty ones are
 // written back directly to the region's home controller, the ID the
-// hardware entry holds).
+// hardware entry holds). The entry's line count says how many lines there
+// are to find, so the scan stops once it has flushed them all.
 func (n *node) onRegionEvict(e core.Entry) {
 	g := n.sys.geom
 	mc := n.sys.topo.HomeControllerRegion(e.Region)
-	for i := 0; i < g.LinesPerRegion(); i++ {
+	left := e.LineCount
+	for i := 0; left > 0 && i < g.LinesPerRegion(); i++ {
 		line := g.LineInRegion(e.Region, i)
 		st := n.l2.Lookup(line)
 		if !st.Valid() {
 			continue
 		}
+		left--
 		if st.Dirty() {
 			n.sys.fabric.flushWriteback(n, line, mc, n.now())
 		} else {

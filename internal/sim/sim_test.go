@@ -25,6 +25,17 @@ func testWorkload(t *testing.T, name string, procs, ops int, seed uint64) worklo
 	return w
 }
 
+// runChecked runs s to completion and fails the test on any error — in
+// particular an invariant violation, which Run would discard.
+func runChecked(t *testing.T, s *System) *stats.Run {
+	t.Helper()
+	run, err := s.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
 func TestBaselineBroadcastsEverything(t *testing.T) {
 	cfg := config.Default()
 	s := MustNew(cfg, testWorkload(t, "ocean", 4, 20_000, 1), 1)
@@ -59,7 +70,7 @@ func TestCGCTInvariantsAllBenchmarks(t *testing.T) {
 			cfg := config.Default().WithCGCT(region)
 			s := MustNew(cfg, testWorkload(t, name, 4, ops, 11), 11)
 			s.DebugChecks = true
-			run := s.Run()
+			run := runChecked(t, s)
 			if run.Cycles == 0 || run.TotalRequests() == 0 {
 				t.Errorf("%s/%dB: empty run", name, region)
 			}
@@ -121,15 +132,37 @@ func TestCGCTNeverSlower(t *testing.T) {
 	}
 }
 
-// TestPostRunInclusionInvariants checks, after a full CGCT run, that the
-// structural invariants hold in the final state: the L1s are subsets of
-// the L2, every cached line has a region entry, the region line counts
-// equal the cached-line counts, and no region is exclusive at two nodes.
+// TestPostRunInclusionInvariants checks, after a full CGCT run on the
+// snooping bus, on the directory and with a sectored L2, that the
+// structural invariants (checkInclusion) hold in the final state.
 func TestPostRunInclusionInvariants(t *testing.T) {
-	cfg := config.Default().WithCGCT(512)
-	s := MustNew(cfg, testWorkload(t, "specweb99", 4, 30_000, 2), 2)
-	s.Run()
+	dir := config.Default().WithCGCT(512).WithDirectory(config.DirectoryParams{})
+	sectored := config.Default().WithCGCT(512)
+	sectored.L2SectorBytes = 512
+	for _, c := range []struct {
+		name string
+		cfg  config.Config
+	}{
+		{"snoop", config.Default().WithCGCT(512)},
+		{"directory", dir},
+		{"sectored-l2", sectored},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := MustNew(c.cfg, testWorkload(t, "specweb99", 4, 30_000, 2), 2)
+			s.Run()
+			checkInclusion(t, s)
+		})
+	}
+}
 
+// checkInclusion asserts the final-state structural invariants of a
+// CGCT run: the L1s are subsets of the L2, every cached line has a
+// region entry, each entry's line count and modifiable count equal the
+// region's cached lines and its cached lines in E, O or M, and no
+// region is exclusive at two nodes.
+func checkInclusion(t *testing.T, s *System) {
+	t.Helper()
+	type counts struct{ lines, modifiable int32 }
 	for _, n := range s.nodes {
 		// L1D/L1I ⊆ L2 (inclusion).
 		n.l1d.ForEachValid(func(l cache.Line) {
@@ -143,24 +176,30 @@ func TestPostRunInclusionInvariants(t *testing.T) {
 			}
 		})
 		// Cached line => region entry present, and counts match.
-		counts := map[addr.RegionAddr]int32{}
+		cached := map[addr.RegionAddr]counts{}
 		n.l2.ForEachValid(func(l cache.Line) {
-			counts[s.geom.RegionOfLine(l.Addr)]++
+			r := s.geom.RegionOfLine(l.Addr)
+			c := cached[r]
+			c.lines++
+			if l.State.Modifiable() {
+				c.modifiable++
+			}
+			cached[r] = c
 		})
-		for region, want := range counts {
+		for region, want := range cached {
 			w := n.rca.Probe(region)
 			if w < 0 {
-				t.Errorf("p%d: region %x has %d cached lines but no RCA entry", n.id, uint64(region), want)
+				t.Errorf("p%d: region %x has %d cached lines but no RCA entry", n.id, uint64(region), want.lines)
 				continue
 			}
-			if got := n.rca.LineCount(w); got != want {
-				t.Errorf("p%d: region %x line count %d, cached %d", n.id, uint64(region), got, want)
+			if got := (counts{n.rca.LineCount(w), n.rca.ModifiableCount(w)}); got != want {
+				t.Errorf("p%d: region %x counts %+v, cached %+v", n.id, uint64(region), got, want)
 			}
 		}
-		// Region entry line counts never exceed reality.
+		// Region entry counts never exceed reality.
 		n.rca.ForEachValid(func(e core.Entry) {
-			if e.LineCount != counts[e.Region] {
-				t.Errorf("p%d: region %x count %d, cached %d", n.id, uint64(e.Region), e.LineCount, counts[e.Region])
+			if got := (counts{e.LineCount, e.Modifiable}); got != cached[e.Region] {
+				t.Errorf("p%d: region %x counts %+v, cached %+v", n.id, uint64(e.Region), got, cached[e.Region])
 			}
 		})
 	}
@@ -197,7 +236,7 @@ func TestDCBZCompletesLocallyInExclusiveRegions(t *testing.T) {
 	cfg := config.Default().WithCGCT(512)
 	s := MustNew(cfg, testWorkload(t, "specjbb2000", 4, 40_000, 3), 3)
 	s.DebugChecks = true
-	run := s.Run()
+	run := runChecked(t, s)
 	if run.LocalDones[coherence.ReqDCBZ] == 0 {
 		t.Error("page zeroing never completed locally despite exclusive regions")
 	}
@@ -245,7 +284,7 @@ func TestSixteenProcessorTopology(t *testing.T) {
 	cfg.Topology.Processors = 16
 	s := MustNew(cfg, testWorkload(t, "tpc-b", 16, 5_000, 1), 1)
 	s.DebugChecks = true
-	run := s.Run()
+	run := runChecked(t, s)
 	if run.TotalRequests() == 0 {
 		t.Fatal("16-processor run produced nothing")
 	}
@@ -258,7 +297,7 @@ func TestScaledBackProtocolInvariants(t *testing.T) {
 	cfg.RCA.ThreeState = true
 	s := MustNew(cfg, testWorkload(t, "specweb99", 4, 20_000, 4), 4)
 	s.DebugChecks = true
-	scaled := s.Run()
+	scaled := runChecked(t, s)
 
 	cfg2 := config.Default().WithCGCT(512)
 	s2 := MustNew(cfg2, testWorkload(t, "specweb99", 4, 20_000, 4), 4)
@@ -286,7 +325,7 @@ func TestPrefetchRegionFilter(t *testing.T) {
 	cfg.Proc.PrefetchRegionFilter = true
 	s := MustNew(cfg, testWorkload(t, "barnes", 4, 20_000, 6), 6)
 	s.DebugChecks = true
-	filtered := s.Run()
+	filtered := runChecked(t, s)
 
 	cfg2 := config.Default().WithCGCT(512)
 	s2 := MustNew(cfg2, testWorkload(t, "barnes", 4, 20_000, 6), 6)
@@ -309,7 +348,7 @@ func TestDMAAgent(t *testing.T) {
 	}
 	s := MustNew(cfg, w, 8)
 	s.DebugChecks = true
-	run := s.Run()
+	run := runChecked(t, s)
 	if run.DMAWrites == 0 {
 		t.Fatal("DMA agent never fired")
 	}
@@ -400,7 +439,7 @@ func TestRandomContentionStress(t *testing.T) {
 				}
 				s := MustNew(cfg, workload.Workload{Name: "stress", Generators: fresh}, seed)
 				s.DebugChecks = true
-				run := s.Run()
+				run := runChecked(t, s)
 				if run.TotalRequests() == 0 {
 					t.Fatalf("iter %d: no requests", it)
 				}
@@ -414,7 +453,7 @@ func TestRegionPrefetch(t *testing.T) {
 	cfg.Proc.RegionPrefetch = true
 	s := MustNew(cfg, testWorkload(t, "ocean", 4, 25_000, 12), 12)
 	s.DebugChecks = true
-	probed := s.Run()
+	probed := runChecked(t, s)
 	if probed.RegionProbes == 0 {
 		t.Fatal("sequential streams never probed the next region")
 	}
@@ -442,7 +481,7 @@ func TestDirectoryMode(t *testing.T) {
 		cfg := config.Default().WithDirectory(config.DirectoryParams{})
 		s := MustNew(cfg, testWorkload(t, name, 4, ops, 21), 21)
 		s.DebugChecks = true
-		run := s.Run()
+		run := runChecked(t, s)
 		if run.TotalRequests() == 0 {
 			t.Fatalf("%s: empty run", name)
 		}
@@ -481,7 +520,7 @@ func TestDirectoryStress(t *testing.T) {
 	cfg := config.Default().WithDirectory(config.DirectoryParams{})
 	s := MustNew(cfg, workload.Workload{Name: "dir-stress", Generators: gens}, 77)
 	s.DebugChecks = true
-	run := s.Run()
+	run := runChecked(t, s)
 	if run.ThreeHops == 0 {
 		t.Error("contended trace produced no three-hop transfers")
 	}
@@ -499,7 +538,7 @@ func TestDirectoryWithCGCT(t *testing.T) {
 		cfg := config.Default().WithCGCT(512).WithDirectory(config.DirectoryParams{})
 		s := MustNew(cfg, testWorkload(t, name, 4, ops, 21), 21)
 		s.DebugChecks = true
-		run := s.Run()
+		run := runChecked(t, s)
 		if run.TotalBroadcasts() != 0 {
 			t.Errorf("%s: directory+CGCT broadcast %d requests", name, run.TotalBroadcasts())
 		}
@@ -524,7 +563,7 @@ func TestRegionScoutMode(t *testing.T) {
 		cfg := config.Default().WithRegionScout(512)
 		s := MustNew(cfg, testWorkload(t, name, 4, ops, 31), 31)
 		s.DebugChecks = true
-		scout := s.Run()
+		scout := runChecked(t, s)
 		if scout.NSRTInserts == 0 || scout.NSRTHits == 0 {
 			t.Fatalf("%s: NSRT never learned/hit (inserts=%d hits=%d)",
 				name, scout.NSRTInserts, scout.NSRTHits)
@@ -573,7 +612,7 @@ func TestRegionScoutStress(t *testing.T) {
 	cfg.Scout.CRHCounters = 8
 	s := MustNew(cfg, workload.Workload{Name: "scout-stress", Generators: gens}, 99)
 	s.DebugChecks = true
-	s.Run()
+	runChecked(t, s)
 }
 
 // TestDataVersionCheckerDetectsStaleReads verifies the checker itself: a
@@ -583,7 +622,7 @@ func TestDataVersionCheckerDetectsStaleReads(t *testing.T) {
 	cfg := config.Default().WithCGCT(512)
 	s := MustNew(cfg, testWorkload(t, "ocean", 4, 3_000, 1), 1)
 	s.DebugChecks = true
-	s.Run()
+	runChecked(t, s)
 	// Find a line node 0 still caches and simulate a missed invalidation:
 	// the world moves on without node 0's copy being dropped.
 	var victim addr.LineAddr
@@ -618,7 +657,7 @@ func TestReadSharedAlternative(t *testing.T) {
 	cfg2.RCA.ReadSharedDirect = true
 	alt := MustNew(cfg2, testWorkload(t, "tpc-b", 4, 25_000, 13), 13)
 	alt.DebugChecks = true
-	altRun := alt.Run()
+	altRun := runChecked(t, alt)
 
 	if altRun.Requests[coherence.ReqUpgrade] <= baseRun.Requests[coherence.ReqUpgrade] {
 		t.Errorf("read-shared alternative did not inflate upgrades (%d vs %d)",
@@ -640,13 +679,13 @@ func TestSectoredL2(t *testing.T) {
 	cfgSec.L2SectorBytes = 512
 	s := MustNew(cfgSec, testWorkload(t, "specweb99", 4, ops, 17), 17)
 	s.DebugChecks = true
-	sec := s.Run()
+	sec := runChecked(t, s)
 
 	cfgBoth := config.Default().WithCGCT(512)
 	cfgBoth.L2SectorBytes = 512
 	s2 := MustNew(cfgBoth, testWorkload(t, "specweb99", 4, ops, 17), 17)
 	s2.DebugChecks = true
-	s2.Run() // invariants only: sectored L2 + RCA inclusion must coexist
+	runChecked(t, s2) // invariants only: sectored L2 + RCA inclusion must coexist
 
 	ratio := func(r *stats.Run) float64 {
 		return float64(r.L2Misses) / float64(r.L2Hits+r.L2Misses)

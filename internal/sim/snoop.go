@@ -237,7 +237,8 @@ func (f *snoopFabric) performBroadcast(n *node, kind coherence.ReqKind, line add
 		if w >= 0 && o.rca.LineCount(w) == 0 {
 			// The hardware looks the tags up, but RCA inclusion says the
 			// holder caches none of the region's lines: the simulator
-			// skips the lookup and the region scan.
+			// skips the lookup, and the holder adds nothing to the region
+			// snoop response.
 			s.emptyHolderSkips++
 			continue
 		}
@@ -245,7 +246,7 @@ func (f *snoopFabric) performBroadcast(n *node, kind coherence.ReqKind, line add
 		f.snooped[o.id] = st
 		if st.Valid() {
 			remoteValid = true
-			if st.Dirty() || st == coherence.Exclusive {
+			if st.Modifiable() {
 				remoteWritable = true
 			}
 			if st.Dirty() {
@@ -253,14 +254,14 @@ func (f *snoopFabric) performBroadcast(n *node, kind coherence.ReqKind, line add
 			}
 		}
 		if n.rca != nil {
-			p, m := o.l2.RegionSnoop(s.geom, region)
-			if p && !m {
-				regionClean = true
-			}
-			if m {
-				regionDirty = true
-			}
+			// The region snoop response comes from the way's counts.
+			p, m := o.rca.RegionSnoop(w)
+			regionClean = regionClean || p && !m
+			regionDirty = regionDirty || m
 		}
+	}
+	if s.DebugChecks && n.rca != nil {
+		s.checkRegionSnoop(n.id, region, regionClean, regionDirty)
 	}
 
 	// --- Oracle classification (Figure 2). ---

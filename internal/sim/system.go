@@ -71,8 +71,8 @@ type System struct {
 	verNode   []map[addr.LineAddr]uint64
 
 	// holders is the reused list observeRemoteRegion's holder pass
-	// fills; emptyHolderSkips counts the holders with no cached lines
-	// whose tag lookup or region scan the simulator skipped (tests assert
+	// fills; emptyHolderSkips counts the bus snoops of holders with no
+	// cached lines whose tag lookup the simulator skipped (tests assert
 	// the skip ran; it moves no statistic).
 	holders          []regionHolder
 	emptyHolderSkips uint64
@@ -396,7 +396,7 @@ func (s *System) lineStateAnywhere(exclude int, l addr.LineAddr) (valid, writabl
 			continue
 		}
 		valid = true
-		if st.Dirty() || st == coherence.Exclusive {
+		if st.Modifiable() {
 			writable = true
 		}
 	}

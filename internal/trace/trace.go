@@ -17,9 +17,10 @@
 //     averages a few bytes per op — roughly half the footprint of the
 //     equivalent []workload.Op.
 //
-// Traces are identified by a content hash over the encoded columns; the
-// process-wide shared cache (Get) and the versioned on-disk format
-// (WriteFile / ReadFile) both build on it.
+// The process-wide shared cache (Get) keys traces by the parameters that
+// generate them, and the versioned on-disk format (WriteFile / ReadFile)
+// seals each file with its own digest. ContentHash identifies a trace by
+// its encoded columns for tooling; it is computed on first use.
 package trace
 
 import (
@@ -28,6 +29,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"sync"
 
 	"cgct/internal/addr"
 	"cgct/internal/workload"
@@ -110,12 +112,19 @@ type Trace struct {
 	Procs      []ProcTrace
 	DMATargets []addr.Segment
 
-	hash string // content hash over the encoded columns, hex
+	// The content hash over the encoded columns, hex, computed on first
+	// use: simulations never read it, and traces are shared across
+	// goroutines.
+	hashOnce sync.Once
+	hash     string
 }
 
 // ContentHash returns the hex sha256 identity of the trace content
 // (columns + DMA targets; independent of the benchmark name).
-func (t *Trace) ContentHash() string { return t.hash }
+func (t *Trace) ContentHash() string {
+	t.hashOnce.Do(func() { t.hash = computeHash(t) })
+	return t.hash
+}
 
 // Bytes returns the total resident size of the compiled columns.
 func (t *Trace) Bytes() int64 {
@@ -217,7 +226,6 @@ func FromWorkload(ctx context.Context, w workload.Workload, opsHint int) (*Trace
 		}
 		t.Procs[i] = enc.pt
 	}
-	t.hash = computeHash(t)
 	return t, nil
 }
 
@@ -262,5 +270,5 @@ func computeHash(t *Trace) string {
 // String summarises the trace for tooling.
 func (t *Trace) String() string {
 	return fmt.Sprintf("%s: %d procs, %d ops, %d bytes compiled, hash %.12s",
-		t.Name, len(t.Procs), t.Ops(), t.Bytes(), t.hash)
+		t.Name, len(t.Procs), t.Ops(), t.Bytes(), t.ContentHash())
 }

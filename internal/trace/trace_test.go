@@ -3,6 +3,7 @@ package trace
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"cgct/internal/workload"
@@ -86,6 +87,32 @@ func TestContentHashDeterministic(t *testing.T) {
 	}
 	if c.ContentHash() == a.ContentHash() {
 		t.Fatal("different seeds produced the same content hash")
+	}
+}
+
+// TestContentHashConcurrent: the hash is computed on first use, and
+// goroutines sharing one trace all read the same value (the race
+// detector checks the lazy fill).
+func TestContentHashConcurrent(t *testing.T) {
+	tr, err := Compile(context.Background(), "ocean", workload.Params{Processors: 2, OpsPerProc: 500, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := computeHash(tr)
+	got := make([]string, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = tr.ContentHash()
+		}()
+	}
+	wg.Wait()
+	for i, h := range got {
+		if h != want {
+			t.Fatalf("goroutine %d read hash %q, want %q", i, h, want)
+		}
 	}
 }
 
